@@ -12,14 +12,14 @@
  *    one subset walk per selection, each simulate() call re-running
  *    the functional pre-pass (block trace + Fast-mode profile)
  *    through the executor;
- *  - **serial**: core::DetailedValidator with the serial machine
- *    layer — one checkpoint per distinct dispatch, one replay cell
- *    per distinct dispatch, every selection served from the caches;
- *  - **parallel**: the same validator with GT_DETAILED=parallel
- *    semantics, replay cells fanned across the thread pool.
+ *  - **serial**: core::DetailedValidator on a width-1 pool — one
+ *    checkpoint per distinct dispatch, one replay cell per distinct
+ *    dispatch, every selection served from the caches;
+ *  - **parallel**: the same validator on the process-wide pool,
+ *    replay cells fanned across its workers.
  *
- * All three must agree bit for bit (the parallel backend is
- * additionally checked at 1, 4, and hardware-width pools), and the
+ * All three must agree bit for bit (the validator is additionally
+ * checked at 1, 4, and hardware-width pools), and the
  * paired wall clocks land in BENCH_detailed.json:
  *
  *     cd /path/to/repo && build/bench/detailed_validate
@@ -39,7 +39,6 @@
 #include "core/detailed_validator.hh"
 
 using namespace gt;
-using Backend = core::DetailedValidator::Backend;
 using Report = core::DetailedValidator::Report;
 
 namespace
@@ -180,9 +179,10 @@ main(int argc, char **argv)
             legacy_reps.push_back(legacy.validate(cr.selection));
         row.legacyS = secondsSince(t0);
 
-        // Checkpointed stack, serial oracle.
+        // Checkpointed stack, serial oracle: a width-1 pool.
+        sched::ThreadPool pool1(1);
         t0 = std::chrono::steady_clock::now();
-        core::DetailedValidator serial_v(app, Backend::Serial);
+        core::DetailedValidator serial_v(app, &pool1);
         std::vector<Report> serial_reps;
         for (const core::ConfigResult &cr : ex.results)
             serial_reps.push_back(serial_v.validate(cr.selection));
@@ -190,7 +190,7 @@ main(int argc, char **argv)
 
         // Checkpointed stack, parallel machine layer.
         t0 = std::chrono::steady_clock::now();
-        core::DetailedValidator parallel_v(app, Backend::Parallel);
+        core::DetailedValidator parallel_v(app);
         std::vector<Report> parallel_reps;
         for (const core::ConfigResult &cr : ex.results)
             parallel_reps.push_back(parallel_v.validate(cr.selection));
@@ -205,16 +205,16 @@ main(int argc, char **argv)
                       ": serial/parallel divergence at config ", i);
         }
 
-        // The parallel backend must be thread-count-invariant:
-        // re-validate one selection at 1, 4, and hardware width.
+        // The validator must be thread-count-invariant: re-validate
+        // one selection at 1, 4, and hardware width.
         const core::SubsetSelection &probe =
             core::pickMinError(ex).selection;
         Report want = serial_v.validate(probe);
-        sched::ThreadPool pool1(1), pool4(4);
+        sched::ThreadPool pool4(4);
         sched::ThreadPool *pools[] = {&pool1, &pool4,
                                       &sched::ThreadPool::global()};
         for (sched::ThreadPool *pool : pools) {
-            core::DetailedValidator v(app, Backend::Parallel, pool);
+            core::DetailedValidator v(app, pool);
             GT_ASSERT(sameReport(v.validate(probe), want), name,
                       ": parallel result varies with pool width ",
                       pool->threadCount());

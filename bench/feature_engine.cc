@@ -1,8 +1,9 @@
 /**
  * @file
- * Feature-engine benchmark: the std::map reference extractor vs. the
- * columnar DispatchFeatureCache, per feature kind, plus the
- * end-to-end 30-configuration exploration both ways.
+ * Feature-engine benchmark: the std::map reference extractor
+ * (tests/reference) vs. the columnar DispatchFeatureCache, per
+ * feature kind, plus the end-to-end 30-configuration exploration
+ * both ways (the map side feeds the production clusterer too).
  *
  * Per-kind cases time extraction over a workload's SingleKernel
  * intervals (the most extraction-bound scheme: one vector per
@@ -30,6 +31,7 @@
 #include "core/explorer.hh"
 #include "core/feature_engine.hh"
 #include "core/pipeline.hh"
+#include "reference/features.hh"
 #include "workloads/workload.hh"
 
 using namespace gt;
@@ -85,7 +87,7 @@ runExtractMap(benchmark::State &state, const BenchApp &b,
     for (auto _ : state) {
         for (const Interval &iv : b.intervals) {
             FeatureVector vec =
-                extractFeaturesMap(b.app.db, iv, kind);
+                reference::extractFeaturesMap(b.app.db, iv, kind);
             dims += vec.dims();
             benchmark::DoNotOptimize(vec);
         }
@@ -113,8 +115,7 @@ runExtractFlat(benchmark::State &state, const BenchApp &b,
 }
 
 void
-runExplore(benchmark::State &state, const BenchApp &b,
-           FeatureBackend backend)
+runExplore(benchmark::State &state, const BenchApp &b, bool map)
 {
     // One thread: measure the engine, not the pool; the fan-out is
     // bit-identical at any width (see exploreConfigs).
@@ -122,10 +123,29 @@ runExplore(benchmark::State &state, const BenchApp &b,
     simpoint::ClusterOptions options;
     options.pool = &pool;
     for (auto _ : state) {
-        FeatureEngine engine(b.app.db, backend);
-        Exploration ex =
-            exploreConfigs(b.app.db, options, 0, &engine);
-        benchmark::DoNotOptimize(ex.results.data());
+        if (!map) {
+            FeatureEngine engine(b.app.db);
+            Exploration ex =
+                exploreConfigs(b.app.db, options, 0, &engine);
+            benchmark::DoNotOptimize(ex.results.data());
+            continue;
+        }
+        // exploreConfigs' 30 evaluations with map-walk points.
+        for (int s = 0; s < numIntervalSchemes; ++s) {
+            for (int f = 0; f < numFeatureKinds; ++f) {
+                std::vector<Interval> intervals =
+                    buildIntervals(b.app.db, (IntervalScheme)s);
+                std::vector<simpoint::Point> points =
+                    reference::projectAllMap(b.app.db, intervals,
+                                             (FeatureKind)f);
+                SubsetSelection sel = selectFromProjected(
+                    (IntervalScheme)s, (FeatureKind)f,
+                    std::move(intervals), points,
+                    b.app.db.totalInstrs(), options);
+                benchmark::DoNotOptimize(
+                    selectionErrorPct(b.app.db, sel));
+            }
+        }
     }
 }
 
@@ -171,13 +191,11 @@ main(int argc, char **argv)
                 ->Unit(benchmark::kMicrosecond);
         }
         for (const char *backend : {"map", "flat"}) {
-            FeatureBackend be = backend[0] == 'm'
-                ? FeatureBackend::Map
-                : FeatureBackend::Flat;
+            bool map = backend[0] == 'm';
             benchmark::RegisterBenchmark(
                 exploreCase(b.name, backend).c_str(),
-                [&b, be](benchmark::State &st) {
-                    runExplore(st, b, be);
+                [&b, map](benchmark::State &st) {
+                    runExplore(st, b, map);
                 })
                 ->MinTime(0.1)
                 ->Unit(benchmark::kMillisecond);

@@ -230,9 +230,10 @@ main()
     // error-minimizing selection of one small application is
     // detail-validated at the matrix's distinct design points
     // (profiling clock, a lowered clock, the next generation). The
-    // serial oracle and the GT_DETAILED machine layer must agree bit
-    // for bit; the checkpoint store shares one functional pre-pass
-    // per dispatch across all design points of each validator.
+    // serial oracle (a width-1 pool) and the machine layer on the
+    // process-wide pool must agree bit for bit; the checkpoint store
+    // shares one functional pre-pass per dispatch across all design
+    // points of each validator.
     const std::string sample = "cb-gaussian-image";
     const core::ProfiledApp &app = bench::profiledApp(sample);
     const core::SubsetSelection &sel =
@@ -243,9 +244,9 @@ main()
                 {gpu::DeviceConfig::hd4000(), 550.0}},
                {"HD4600 @ max", {gpu::DeviceConfig::hd4600(), 0.0}}};
 
-    using Backend = core::DetailedValidator::Backend;
-    core::DetailedValidator serial_v(app, Backend::Serial);
-    core::DetailedValidator parallel_v(app, Backend::Parallel);
+    sched::ThreadPool pool1(1);
+    core::DetailedValidator serial_v(app, &pool1);
+    core::DetailedValidator parallel_v(app);
 
     TextTable detail_table({"design point", "projected SPI",
                             "detailed SPI", "error"});
@@ -263,7 +264,7 @@ main()
                       r.errorPct == serial_reps[i].errorPct &&
                       r.fullWalked == serial_reps[i].fullWalked &&
                       r.subsetWalked == serial_reps[i].subsetWalked,
-                  "GT_DETAILED serial/parallel divergence at ",
+                  "detailed serial/parallel divergence at ",
                   points[i].first);
         auto sci = [](double v) {
             std::ostringstream os;

@@ -1,12 +1,12 @@
 /**
  * @file
- * Gang-execution benchmark: Full-mode dispatch throughput of the uop
- * interpreter under scalar per-thread execution vs. gang-lockstep SoA
- * execution (GT_EXEC=scalar|gang), across the whole kernel template
- * library.
+ * Gang-execution benchmark: Full-mode dispatch throughput of the
+ * executor (gang-lockstep SoA execution wherever the plan proves it
+ * safe) vs. scalar per-thread execution on the reference interpreter
+ * (tests/reference), across the whole kernel template library.
  *
- * Each case runs the same dispatch through an Executor pinned to one
- * execution mode; the paired timings yield per-template speedups, a
+ * Each case runs the same dispatch through one of the two; the
+ * paired timings yield per-template speedups, a
  * geometric mean over the gang-engaged templates, and a geometric
  * mean over the wide-SIMD set (blur, stream, blend) that the
  * acceptance gate enforces at >= 2x. Results are written to
@@ -24,11 +24,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/harness.hh"
 #include "common/logging.hh"
 #include "gpu/executor.hh"
+#include "reference/interpreter.hh"
 #include "workloads/templates.hh"
 
 using namespace gt;
@@ -49,9 +51,11 @@ const std::set<std::string> wideSimdSet = {"blur", "stream", "blend"};
 /** Did the gang executor actually gang this template's dispatch? */
 std::map<std::string, bool> gangEngaged;
 
+/** Time @p tmpl's Full-mode dispatch on an @p Interp (the executor
+ * or the scalar reference interpreter). */
+template <class Interp>
 void
-runExec(benchmark::State &state, const std::string &tmpl,
-        gpu::Executor::ExecMode exec_mode)
+runExec(benchmark::State &state, const std::string &tmpl)
 {
     setLogQuiet(true);
     workloads::TemplateJit jit;
@@ -62,9 +66,7 @@ runExec(benchmark::State &state, const std::string &tmpl,
     isa::KernelBinary bin = jit.compile(src);
 
     gpu::DeviceMemory mem(32 << 20);
-    gpu::Executor exec(gpu::DeviceConfig::hd4000(), mem);
-    exec.setBackend(gpu::Executor::Backend::Uops);
-    exec.setExecMode(exec_mode);
+    Interp exec(gpu::DeviceConfig::hd4000(), mem);
 
     gpu::Dispatch d;
     d.binary = &bin;
@@ -74,7 +76,7 @@ runExec(benchmark::State &state, const std::string &tmpl,
     // need distinct per-arg buffers (aliased args would pin scalar
     // execution); the rest use a shared base, which keeps args some
     // templates reinterpret as trip counts small.
-    if (exec.gangSafety(&bin).checks.empty()) {
+    if (isa::analyzeGangSafety(bin).checks.empty()) {
         d.args.assign(bin.numArgs, (uint32_t)mem.allocate(4 << 20));
     } else {
         for (uint32_t a = 0; a < bin.numArgs; ++a)
@@ -87,7 +89,7 @@ runExec(benchmark::State &state, const std::string &tmpl,
         instrs += p.dynInstrs;
         benchmark::DoNotOptimize(p.dynInstrs);
     }
-    if (exec_mode == gpu::Executor::ExecMode::Gang)
+    if constexpr (std::is_same_v<Interp, gpu::Executor>)
         gangEngaged[tmpl] = exec.lastRunGanged();
     state.counters["interp_instrs_per_s"] = benchmark::Counter(
         (double)instrs, benchmark::Counter::kIsRate);
@@ -112,19 +114,18 @@ main(int argc, char **argv)
     const std::vector<std::string> templates =
         workloads::builtinTemplates().templateNames();
 
-    const std::pair<const char *, gpu::Executor::ExecMode> execs[] = {
-        {"scalar", gpu::Executor::ExecMode::Scalar},
-        {"gang", gpu::Executor::ExecMode::Gang},
+    using RunFn = void (*)(benchmark::State &, const std::string &);
+    const std::pair<const char *, RunFn> execs[] = {
+        {"scalar", &runExec<reference::Interpreter>},
+        {"gang", &runExec<gpu::Executor>},
     };
 
     const double min_time = smoke ? 0.01 : 0.1;
     for (const std::string &tmpl : templates) {
-        for (const auto &[exec_name, exec_mode] : execs) {
+        for (const auto &[exec_name, run] : execs) {
             benchmark::RegisterBenchmark(
                 caseName(tmpl, exec_name).c_str(),
-                [tmpl, exec_mode](benchmark::State &st) {
-                    runExec(st, tmpl, exec_mode);
-                })
+                [tmpl, run](benchmark::State &st) { run(st, tmpl); })
                 ->MinTime(min_time)
                 ->Unit(benchmark::kMicrosecond);
         }

@@ -1,12 +1,13 @@
 /**
  * @file
- * Interpreter-backend dispatch benchmark: the reference opcode-switch
- * interpreter vs. the predecoded micro-op backend (superblock
- * chaining + operand-shape-specialized handlers), across the whole
- * kernel template library in both Full and Fast execution modes.
+ * Interpreter dispatch benchmark: the reference opcode-switch
+ * interpreter (tests/reference) vs. the executor's predecoded
+ * micro-ops (superblock chaining + operand-shape-specialized
+ * handlers), across the whole kernel template library in both Full
+ * and Fast execution modes.
  *
- * Each case runs the same dispatch through an Executor pinned to one
- * backend; the paired timings yield per-template speedups and a
+ * Each case runs the same dispatch through one interpreter; the
+ * paired timings yield per-template speedups and a
  * geometric-mean speedup per mode, written to BENCH_interp.json (and
  * summarized on stdout) so the README's perf numbers are
  * reproducible with:
@@ -24,6 +25,7 @@
 #include "bench/harness.hh"
 #include "common/logging.hh"
 #include "gpu/executor.hh"
+#include "reference/interpreter.hh"
 #include "workloads/templates.hh"
 
 using namespace gt;
@@ -37,9 +39,12 @@ constexpr int64_t leadingParam = 8;
 /** Work items per dispatch (64 hardware threads at SIMD16). */
 constexpr uint64_t benchGlobalSize = 16 * 64;
 
+/** Time @p tmpl's dispatch on an @p Interp (the executor or the
+ * reference interpreter). */
+template <class Interp>
 void
 runInterp(benchmark::State &state, const std::string &tmpl,
-          gpu::Executor::Backend backend, gpu::Executor::Mode mode)
+          gpu::Executor::Mode mode)
 {
     setLogQuiet(true);
     workloads::TemplateJit jit;
@@ -50,8 +55,7 @@ runInterp(benchmark::State &state, const std::string &tmpl,
     isa::KernelBinary bin = jit.compile(src);
 
     gpu::DeviceMemory mem(32 << 20);
-    gpu::Executor exec(gpu::DeviceConfig::hd4000(), mem);
-    exec.setBackend(backend);
+    Interp exec(gpu::DeviceConfig::hd4000(), mem);
 
     gpu::Dispatch d;
     d.binary = &bin;
@@ -91,18 +95,20 @@ main(int argc, char **argv)
         {"full", gpu::Executor::Mode::Full},
         {"fast", gpu::Executor::Mode::Fast},
     };
-    const std::pair<const char *, gpu::Executor::Backend> backends[] = {
-        {"switch", gpu::Executor::Backend::Switch},
-        {"uops", gpu::Executor::Backend::Uops},
+    using RunFn = void (*)(benchmark::State &, const std::string &,
+                           gpu::Executor::Mode);
+    const std::pair<const char *, RunFn> backends[] = {
+        {"switch", &runInterp<reference::Interpreter>},
+        {"uops", &runInterp<gpu::Executor>},
     };
 
     for (const std::string &tmpl : templates) {
         for (const auto &[mode_name, mode] : modes) {
-            for (const auto &[backend_name, backend] : backends) {
+            for (const auto &[backend_name, run] : backends) {
                 benchmark::RegisterBenchmark(
                     caseName(tmpl, mode_name, backend_name).c_str(),
-                    [tmpl, backend, mode](benchmark::State &st) {
-                        runInterp(st, tmpl, backend, mode);
+                    [tmpl, run, mode](benchmark::State &st) {
+                        run(st, tmpl, mode);
                     })
                     ->MinTime(0.1)
                     ->Unit(benchmark::kMicrosecond);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Memory-trace delivery benchmark: the per-access callback oracle vs.
- * the batched SoA pipeline (GT_MEMTRACE=callback|batch), measured on
- * cache-sim-enabled profiling — a GT-Pin stack with CacheSimTool
- * attached, dispatching memory-heavy kernel templates through the
- * driver exactly as production profiling does.
+ * Memory-trace delivery benchmark: per-access delivery on the
+ * reference interpreter (tests/reference, each access fed straight
+ * into CacheModel::access) vs. the executor's batched SoA pipeline,
+ * measured on cache-sim-enabled profiling — a GT-Pin stack with
+ * CacheSimTool attached, dispatching memory-heavy kernel templates
+ * through the driver exactly as production profiling does.
  *
  * The paired timings yield per-template speedups and a geometric-mean
  * speedup, written to BENCH_memtrace.json (and summarized on stdout)
@@ -23,7 +24,8 @@
 #include "common/logging.hh"
 #include "gtpin/cache_sim.hh"
 #include "gtpin/gtpin.hh"
-#include "ocl/runtime.hh"
+#include "ocl/driver.hh"
+#include "reference/interpreter.hh"
 #include "workloads/templates.hh"
 
 using namespace gt;
@@ -49,7 +51,7 @@ const std::vector<std::string> benchTemplates = {
 
 void
 runTrace(benchmark::State &state, const std::string &tmpl,
-         gtpin::GtPin::MemTraceMode mode)
+         bool reference)
 {
     setLogQuiet(true);
     workloads::TemplateJit jit;
@@ -59,28 +61,29 @@ runTrace(benchmark::State &state, const std::string &tmpl,
 
     gtpin::CacheSimTool tool(4ull << 20, 16, 64);
     gtpin::GtPin pin;
-    pin.setMemTraceMode(mode);
     pin.addTool(&tool);
     pin.attach(driver);
 
-    ocl::ClRuntime rt(driver);
-    ocl::Context ctx = rt.createContext();
-    ocl::CommandQueue q = rt.createCommandQueue(ctx);
     isa::KernelSource src;
     src.name = "bench_" + tmpl;
     src.templateName = tmpl;
     src.params = {leadingParam};
-    ocl::Program prog = rt.createProgramWithSource(ctx, {src});
-    rt.buildProgram(prog);
-    ocl::Kernel k = rt.createKernel(prog, src.name);
-    ocl::Mem buf = rt.createBuffer(ctx, 4 << 20);
-    const isa::KernelBinary &bin = driver.binary(0);
-    for (uint32_t a = 0; a < bin.numArgs; ++a)
-        rt.setKernelArg(k, a, buf);
+    uint32_t kernel = driver.buildKernel(src);
+    std::vector<uint32_t> args(
+        driver.binary(kernel).numArgs,
+        (uint32_t)driver.memory().allocate(4 << 20));
+    reference::Interpreter interp(driver.config(), driver.memory());
 
     for (auto _ : state) {
-        rt.enqueueNDRangeKernel(q, k, benchGlobalSize);
-        rt.finish(q);
+        if (reference) {
+            reference::executeOnDriver(
+                driver, interp, kernel, benchGlobalSize, 16, args,
+                [&](uint64_t addr, uint32_t bytes, bool is_write) {
+                    tool.cache().access(addr, bytes, is_write);
+                });
+        } else {
+            driver.execute(kernel, benchGlobalSize, 16, args);
+        }
         benchmark::DoNotOptimize(tool.cache().accesses());
     }
     state.counters["cache_accesses_per_s"] = benchmark::Counter(
@@ -103,18 +106,13 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
 
-    const std::pair<const char *, gtpin::GtPin::MemTraceMode> modes[] =
-        {
-            {"callback", gtpin::GtPin::MemTraceMode::Callback},
-            {"batch", gtpin::GtPin::MemTraceMode::Batch},
-        };
-
     for (const std::string &tmpl : benchTemplates) {
-        for (const auto &[mode_name, mode] : modes) {
+        for (const char *mode_name : {"callback", "batch"}) {
+            bool reference = mode_name[0] == 'c';
             benchmark::RegisterBenchmark(
                 caseName(tmpl, mode_name).c_str(),
-                [tmpl, mode](benchmark::State &st) {
-                    runTrace(st, tmpl, mode);
+                [tmpl, reference](benchmark::State &st) {
+                    runTrace(st, tmpl, reference);
                 })
                 ->MinTime(0.1)
                 ->Unit(benchmark::kMicrosecond);
@@ -144,7 +142,8 @@ main(int argc, char **argv)
     std::cout << "\n";
     if (geomean.count() > 0) {
         report.scalar("geomean_speedup", geomean.value());
-        std::cout << "geomean speedup (batch vs callback delivery): "
+        std::cout << "geomean speedup (batch vs reference callback "
+                     "delivery): "
                   << geomean.value() << "x\n";
     }
     return report.finish();

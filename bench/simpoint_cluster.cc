@@ -1,7 +1,8 @@
 /**
  * @file
- * K-means backend benchmark: the Lloyd oracle vs. the
- * triangle-inequality-pruned backend, per workload and end to end.
+ * K-means benchmark: the plain Lloyd oracle (tests/reference) vs.
+ * the production triangle-inequality-pruned clusterer, per workload
+ * and end to end.
  *
  * Per-workload cluster cases time the full BIC sweep
  * (clusterPoints: candidate k = 1..10, seeding + Lloyd iterations +
@@ -13,7 +14,7 @@
  * k-means on dispatch-heavy workloads.
  *
  * Paired timings yield per-case speedups, geometric means, and the
- * pruned backend's skip rates, written to BENCH_kmeans.json (and
+ * pruned clusterer's skip rates, written to BENCH_kmeans.json (and
  * summarized on stdout) so the README's perf numbers are
  * reproducible with:
  *
@@ -31,6 +32,7 @@
 #include "core/explorer.hh"
 #include "core/feature_engine.hh"
 #include "core/pipeline.hh"
+#include "reference/kmeans.hh"
 #include "workloads/workload.hh"
 
 using namespace gt;
@@ -72,7 +74,7 @@ apps()
             BenchApp b;
             b.name = name;
             b.app = profileApp(*w);
-            FeatureEngine engine(b.app.db, FeatureBackend::Flat);
+            FeatureEngine engine(b.app.db);
             auto intervals = buildIntervals(
                 b.app.db, IntervalScheme::SingleKernel);
             b.points = engine.projectAll(intervals, FeatureKind::BB);
@@ -89,19 +91,20 @@ apps()
 }
 
 void
-runCluster(benchmark::State &state, BenchApp &b,
-           simpoint::KMeansBackend backend)
+runCluster(benchmark::State &state, BenchApp &b, bool lloyd)
 {
     // One thread: measure the algorithm, not the pool; results are
     // bit-identical at any width (see ClusterOptions::pool).
     sched::ThreadPool pool(1);
     simpoint::ClusterOptions options;
     options.pool = &pool;
-    options.backend = backend;
     for (auto _ : state) {
         simpoint::Clustering c =
-            simpoint::clusterPoints(b.points, b.weights, options);
-        if (backend == simpoint::KMeansBackend::Pruned)
+            lloyd ? reference::lloydClusterPoints(b.points, b.weights,
+                                                  options)
+                  : simpoint::clusterPoints(b.points, b.weights,
+                                            options);
+        if (!lloyd)
             b.clusterPruneRate = c.stats.pruneRate();
         benchmark::DoNotOptimize(c.assignment.data());
     }
@@ -109,39 +112,48 @@ runCluster(benchmark::State &state, BenchApp &b,
 }
 
 void
-runExplore(benchmark::State &state, BenchApp &b,
-           simpoint::KMeansBackend backend)
+runExplore(benchmark::State &state, BenchApp &b, bool lloyd)
 {
     // Prebuilt engine (the usage model: one lowering per workload
     // shared by every consumer), so the timed region is the
     // selection loop itself — interval building, projection, and
     // above all the 30 BIC sweeps.
-    FeatureEngine engine(b.app.db, FeatureBackend::Flat);
+    FeatureEngine engine(b.app.db);
     sched::ThreadPool pool(1);
     simpoint::ClusterOptions options;
     options.pool = &pool;
-    options.backend = backend;
     for (auto _ : state) {
-        Exploration ex =
-            exploreConfigs(b.app.db, options, 0, &engine);
-        if (backend == simpoint::KMeansBackend::Pruned)
+        if (!lloyd) {
+            Exploration ex =
+                exploreConfigs(b.app.db, options, 0, &engine);
             b.explorePruneRate = ex.clusterStats().pruneRate();
-        benchmark::DoNotOptimize(ex.results.data());
+            benchmark::DoNotOptimize(ex.results.data());
+            continue;
+        }
+        // exploreConfigs' 30 BIC sweeps on the Lloyd oracle.
+        for (int s = 0; s < numIntervalSchemes; ++s) {
+            std::vector<Interval> intervals =
+                buildIntervals(b.app.db, (IntervalScheme)s);
+            std::vector<double> weights;
+            for (const Interval &iv : intervals)
+                weights.push_back(
+                    std::max<double>(1.0, (double)iv.instrs));
+            for (int f = 0; f < numFeatureKinds; ++f) {
+                simpoint::Clustering c = reference::lloydClusterPoints(
+                    engine.projectAll(intervals, (FeatureKind)f),
+                    weights, options);
+                benchmark::DoNotOptimize(c.assignment.data());
+            }
+        }
     }
 }
 
 std::string
-caseName(const char *what, const std::string &app,
-         simpoint::KMeansBackend backend)
+caseName(const char *what, const std::string &app, bool lloyd)
 {
     return std::string(what) + "/" + app + "/" +
-           simpoint::kmeansBackendName(backend);
+           (lloyd ? "lloyd" : "pruned");
 }
-
-constexpr simpoint::KMeansBackend bothBackends[] = {
-    simpoint::KMeansBackend::Lloyd,
-    simpoint::KMeansBackend::Pruned,
-};
 
 } // anonymous namespace
 
@@ -153,18 +165,18 @@ main(int argc, char **argv)
         return 1;
 
     for (BenchApp &b : apps()) {
-        for (simpoint::KMeansBackend backend : bothBackends) {
+        for (bool lloyd : {true, false}) {
             benchmark::RegisterBenchmark(
-                caseName("cluster", b.name, backend).c_str(),
-                [&b, backend](benchmark::State &st) {
-                    runCluster(st, b, backend);
+                caseName("cluster", b.name, lloyd).c_str(),
+                [&b, lloyd](benchmark::State &st) {
+                    runCluster(st, b, lloyd);
                 })
                 ->MinTime(0.1)
                 ->Unit(benchmark::kMillisecond);
             benchmark::RegisterBenchmark(
-                caseName("explore", b.name, backend).c_str(),
-                [&b, backend](benchmark::State &st) {
-                    runExplore(st, b, backend);
+                caseName("explore", b.name, lloyd).c_str(),
+                [&b, lloyd](benchmark::State &st) {
+                    runExplore(st, b, lloyd);
                 })
                 ->MinTime(0.1)
                 ->Unit(benchmark::kMillisecond);
@@ -182,10 +194,8 @@ main(int argc, char **argv)
         bool explore = what[0] == 'e';
         bench::GeoMean geomean;
         for (const BenchApp &b : apps()) {
-            auto ll = reporter.times.find(caseName(
-                what, b.name, simpoint::KMeansBackend::Lloyd));
-            auto pr = reporter.times.find(caseName(
-                what, b.name, simpoint::KMeansBackend::Pruned));
+            auto ll = reporter.times.find(caseName(what, b.name, true));
+            auto pr = reporter.times.find(caseName(what, b.name, false));
             if (ll == reporter.times.end() ||
                 pr == reporter.times.end()) {
                 continue;

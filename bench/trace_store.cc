@@ -1,21 +1,22 @@
 /**
  * @file
  * Columnar trace-store benchmark: resident memory and exploration
- * query throughput of the on-disk columnar TraceDatabase backend
- * against the fully-resident mem oracle.
+ * query throughput of the sealed (on-disk columnar) TraceDatabase
+ * against the fully-resident rows of the TraceDatabase::Builder it
+ * was sealed from — the oracle the tests compare it against.
  *
  * A large deterministic synthetic suite (hundreds of thousands of
- * joined dispatches) is built once through each backend, then both
- * serve the paper's post-profiling access pattern — interval
- * building under all three schemes, feature-engine lowering,
- * whole-suite extraction, per-dispatch profile scans, and a random
- * mix of range queries — with every result compared bitwise
- * between the backends. Two gates are enforced:
+ * joined dispatches) is joined once into builder rows and once into
+ * a sealed database, then both serve the paper's post-profiling
+ * access pattern — interval building under all three schemes,
+ * feature lowering, whole-suite extraction, per-dispatch profile
+ * scans, and a random mix of range queries — with every result
+ * compared bitwise between the two. Two gates are enforced:
  *
- *  - resident memory must shrink by at least 5x on the columnar
- *    backend (that reduction is the tentpole's reason to exist);
- *  - the columnar query phase must stay within 1.5x of the mem
- *    oracle's wall clock.
+ *  - resident memory must shrink by at least 5x once sealed (that
+ *    reduction is the columnar store's reason to exist);
+ *  - the columnar query phase must stay within 1.5x of the resident
+ *    rows' wall clock.
  *
  *     cd /path/to/repo && build/bench/trace_store
  *
@@ -36,7 +37,6 @@
 
 using namespace gt;
 using core::TraceDatabase;
-using core::TraceDbBackend;
 
 namespace
 {
@@ -115,11 +115,18 @@ makeInputs(uint64_t n)
     return in;
 }
 
-/** One pass of the post-profiling access pattern; returns a
- * checksum folding every queried value, so backends can be compared
- * and the work cannot be dead-code-eliminated. */
+/**
+ * One pass of the post-profiling access pattern over the @p n
+ * dispatches of @p db (a sealed database or builder rows, which share
+ * the accessor API); returns a
+ * checksum folding every queried value, so the two can be compared
+ * and the work cannot be dead-code-eliminated. Intervals and feature
+ * columns are built through the streaming cores buildIntervals() and
+ * the FeatureEngine run on, fed the same accessors.
+ */
+template <class DB>
 double
-queryPass(const TraceDatabase &db)
+queryPass(const DB &db, uint64_t n)
 {
     double checksum = 0.0;
 
@@ -129,7 +136,12 @@ queryPass(const TraceDatabase &db)
          {core::IntervalScheme::SyncBounded,
           core::IntervalScheme::ApproxInstructions,
           core::IntervalScheme::SingleKernel}) {
-        auto intervals = core::buildIntervals(db, scheme);
+        core::IncrementalIntervals inc(
+            scheme, std::max<uint64_t>(1, db.totalInstrs() / 1000));
+        for (uint64_t i = 0; i < n; ++i)
+            inc.append(db.syncEpoch(i), db.rangeInstrs(i, i),
+                       db.seconds(i));
+        auto intervals = inc.snapshot();
         checksum += (double)intervals.size();
         for (const core::Interval &iv : intervals) {
             checksum += iv.seconds + (double)(iv.instrs % 1021);
@@ -139,23 +151,27 @@ queryPass(const TraceDatabase &db)
     }
 
     // Feature lowering + whole-suite extraction (profile scans).
-    core::FeatureEngine engine(db, core::FeatureBackend::Flat);
+    core::DispatchFeatureCache cache;
+    for (uint64_t d = 0; d < n; ++d)
+        cache.appendDispatch(db.profileAt(d));
+    cache.refreshColumns();
+    core::DispatchFeatureCache::Scratch scratch;
     for (core::FeatureKind kind :
          {core::FeatureKind::KN, core::FeatureKind::BB_R_W}) {
-        auto vectors = engine.extractAll(kept, kind);
-        for (const core::FeatureVector &vec : vectors) {
+        for (const core::Interval &iv : kept) {
+            core::FeatureVector vec = cache.extract(iv, kind, scratch);
+            vec.normalize();
             for (double v : vec.values())
                 checksum += v;
         }
     }
 
     // The validators' sequential per-dispatch profile walk.
-    for (uint64_t d = 0; d < db.numDispatches(); ++d)
+    for (uint64_t d = 0; d < n; ++d)
         checksum += (double)(db.profileAt(d).instrs % 4093);
 
     // Random range queries (fig6/fig8-style replay accounting).
     Rng rng(0x5eed);
-    const uint64_t n = db.numDispatches();
     for (int i = 0; i < 2000; ++i) {
         uint64_t first = rng.next() % n;
         uint64_t last =
@@ -163,8 +179,8 @@ queryPass(const TraceDatabase &db)
         checksum += (double)(db.rangeInstrs(first, last) % 8191) +
                     db.rangeSeconds(first, last);
     }
-    checksum += db.measuredSpi() + db.totalSeconds() +
-                (double)(db.totalInstrs() % 65521);
+    checksum += db.totalSeconds() / (double)db.totalInstrs() +
+                db.totalSeconds() + (double)(db.totalInstrs() % 65521);
     return checksum;
 }
 
@@ -181,37 +197,38 @@ main(int argc, char **argv)
     std::cout << "synthetic suite: " << n << " dispatches, "
               << in.calls.size() << " api calls\n";
 
-    auto build = [&](TraceDbBackend backend, double &seconds) {
-        auto profiles = in.profiles;
-        auto t0 = std::chrono::steady_clock::now();
-        TraceDatabase db =
-            TraceDatabase::build(std::move(profiles), in.timings,
-                                 in.calls, backend);
-        seconds = secondsSince(t0);
-        return db;
-    };
+    // "mem": the builder's joined rows; "columnar": build(), i.e. the
+    // same join sealed into the spill.
+    auto profiles = in.profiles;
+    auto t0 = std::chrono::steady_clock::now();
+    TraceDatabase::Builder mem;
+    for (const auto &call : in.calls)
+        mem.observeCall(call);
+    for (size_t i = 0; i < in.profiles.size(); ++i)
+        mem.append(std::move(profiles[i]), in.timings[i]);
+    double mem_build_s = secondsSince(t0);
+    profiles = in.profiles;
+    t0 = std::chrono::steady_clock::now();
+    TraceDatabase col = TraceDatabase::build(std::move(profiles),
+                                             in.timings, in.calls);
+    double col_build_s = secondsSince(t0);
 
-    double mem_build_s = 0.0, col_build_s = 0.0;
-    TraceDatabase mem = build(TraceDbBackend::Mem, mem_build_s);
-    TraceDatabase col = build(TraceDbBackend::Columnar, col_build_s);
-
-    const core::TraceDbFootprint fm = mem.memoryFootprint();
+    const uint64_t mem_resident = mem.memoryBytes();
     const core::TraceDbFootprint fc = col.memoryFootprint();
     const double shrink =
-        (double)fm.residentBytes / (double)fc.residentBytes;
-    std::cout << "resident: mem " << humanBytes(fm.residentBytes)
+        (double)mem_resident / (double)fc.residentBytes;
+    std::cout << "resident: mem " << humanBytes(mem_resident)
               << " -> columnar " << humanBytes(fc.residentBytes)
               << "  (" << fixed(shrink, 1) << "x smaller; spill "
               << humanBytes(fc.fileBytes) << " on disk)\n";
 
-    // Two timed passes per backend, keeping the faster one; results
-    // must agree bitwise between backends on every pass.
-    auto time_queries = [&](const TraceDatabase &db,
-                            double &checksum) {
+    // Two timed passes each, keeping the faster one; results must
+    // agree bitwise between the two on every pass.
+    auto time_queries = [&](const auto &db, double &checksum) {
         double best = 1e30;
         for (int rep = 0; rep < 2; ++rep) {
             auto t0 = std::chrono::steady_clock::now();
-            double sum = queryPass(db);
+            double sum = queryPass(db, n);
             best = std::min(best, secondsSince(t0));
             if (rep == 0)
                 checksum = sum;
@@ -236,7 +253,7 @@ main(int argc, char **argv)
 
     bench::BenchReport report("BENCH_tracedb.json");
     report.scalar("dispatches", n);
-    report.scalar("mem_resident_bytes", fm.residentBytes);
+    report.scalar("mem_resident_bytes", mem_resident);
     report.scalar("columnar_resident_bytes", fc.residentBytes);
     report.scalar("columnar_file_bytes", fc.fileBytes);
     report.scalar("resident_shrink", shrink);

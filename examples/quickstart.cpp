@@ -133,65 +133,6 @@ printUsage(std::ostream &os)
           "GT-Pin attached, or the whole suite with \"all\".\n"
           "\n"
           "Environment:\n"
-          "  GT_INTERP=switch|uops  GPU interpreter backend. \"uops\"\n"
-          "                         (default) runs the predecoded\n"
-          "                         micro-op interpreter with\n"
-          "                         superblock chaining; \"switch\"\n"
-          "                         selects the reference switch\n"
-          "                         interpreter. Results are bitwise\n"
-          "                         identical.\n"
-          "  GT_EXEC=scalar|gang    Full-mode thread interleaving for\n"
-          "                         the uop backend. \"gang\" (default)\n"
-          "                         drives 8 threads in SoA lockstep\n"
-          "                         through shared superblocks,\n"
-          "                         falling back to scalar whenever\n"
-          "                         lockstep ordering would be\n"
-          "                         observable; \"scalar\" always runs\n"
-          "                         one thread at a time. Results are\n"
-          "                         bitwise identical.\n"
-          "  GT_FEATURES=map|flat   Feature-extraction backend for\n"
-          "                         subset selection. \"flat\"\n"
-          "                         (default) runs the columnar\n"
-          "                         engine with memoized projection;\n"
-          "                         \"map\" selects the reference\n"
-          "                         std::map extractor. Results are\n"
-          "                         bitwise identical.\n"
-          "  GT_MEMTRACE=callback|batch\n"
-          "                         Memory-trace delivery for\n"
-          "                         address-needing tools (cache\n"
-          "                         simulation). \"batch\" (default)\n"
-          "                         buffers accesses in SoA chunks\n"
-          "                         and delivers them in bulk;\n"
-          "                         \"callback\" invokes the\n"
-          "                         per-access oracle. Results are\n"
-          "                         bitwise identical.\n"
-          "  GT_KMEANS=lloyd|pruned K-means backend for the SimPoint\n"
-          "                         clusterer. \"pruned\" (default)\n"
-          "                         skips k-way scans via triangle-\n"
-          "                         inequality bounds and coincident-\n"
-          "                         point memoization; \"lloyd\"\n"
-          "                         selects the reference exact scan.\n"
-          "                         Results are bitwise identical.\n"
-          "  GT_DETAILED=serial|parallel\n"
-          "                         Machine layer for the detailed\n"
-          "                         cycle-level simulator. \"parallel\"\n"
-          "                         (default) fans independent replay\n"
-          "                         cells across the worker pool;\n"
-          "                         \"serial\" selects the reference\n"
-          "                         loop. Unknown values are rejected\n"
-          "                         at startup. Results are bitwise\n"
-          "                         identical.\n"
-          "  GT_TRACEDB=mem|columnar\n"
-          "                         Trace-database storage backend.\n"
-          "                         \"columnar\" (default) spills the\n"
-          "                         joined trace to a compressed\n"
-          "                         on-disk columnar file, mapped\n"
-          "                         read-only and decoded block-wise\n"
-          "                         through a per-thread cache;\n"
-          "                         \"mem\" keeps the fully-resident\n"
-          "                         reference form. Unknown values\n"
-          "                         are rejected at startup. Results\n"
-          "                         are bitwise identical.\n"
           "  GT_SERVE=N             Instead of one batch profile,\n"
           "                         record the workload and submit it\n"
           "                         to N tenants of the streaming\n"

@@ -18,9 +18,8 @@ DetailedValidator::PointKey::operator<(const PointKey &o) const
 }
 
 DetailedValidator::DetailedValidator(const ProfiledApp &app_,
-                                     Backend backend_,
                                      sched::ThreadPool *pool_)
-    : app(app_), backend(backend_), pool(pool_)
+    : app(app_), pool(pool_)
 {
     // The functional stack replays on the profiling platform; the
     // machine layer is parameterized per design point instead, so
@@ -72,11 +71,11 @@ DetailedValidator::cells(const DesignPoint &dp)
     }
 
     // The machine layer: one replay cell per distinct dispatch,
-    // partitioned across the pool under the parallel backend, then
-    // scattered back to dispatch order.
+    // partitioned across the pool, then scattered back to dispatch
+    // order.
     gpu::DetailedSimulator sim(dp.config, dp.freqMhz);
     std::vector<gpu::DetailedResult> cell_results =
-        sim.simulateBatch(cps, backend, pool);
+        sim.simulateBatch(cps, pool);
     cellCount += cps.size();
     pc.results.resize(num);
     for (size_t d = 0; d < num; ++d)
@@ -95,8 +94,8 @@ DetailedValidator::validate(const SubsetSelection &sel,
 
     Report r;
     // Whole-program detailed SPI, accumulated in dispatch order
-    // (fixed order keeps serial and parallel backends bitwise
-    // identical).
+    // (fixed order keeps reports bitwise identical at any pool
+    // width).
     uint64_t full_instrs = 0;
     double full_seconds = 0.0;
     for (size_t d = 0; d < num; ++d) {

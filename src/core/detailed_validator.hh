@@ -19,14 +19,13 @@
  *    that replaces the old per-(config, dispatch) re-profiling;
  *  - **replay cells** (per design point): one cycle-level EU replay
  *    per (design point, dispatch), fanned out across the
- *    sched::ThreadPool under GT_DETAILED=parallel and cached, so 30
- *    selections over the same design point pay the machine layer
- *    once.
+ *    sched::ThreadPool and cached, so 30 selections over the same
+ *    design point pay the machine layer once.
  *
- * Serial and parallel backends are bitwise identical at any thread
- * count: cells are pure functions of (checkpoint, design point),
- * cell results land in per-index slots, and every aggregation walks
- * dispatches in ascending order.
+ * Reports are bitwise identical at any pool width, a width-1 pool
+ * being the serial oracle: cells are pure functions of (checkpoint,
+ * design point), cell results land in per-index slots, and every
+ * aggregation walks dispatches in ascending order.
  */
 
 #ifndef GT_CORE_DETAILED_VALIDATOR_HH
@@ -53,18 +52,13 @@ struct DesignPoint
 class DetailedValidator
 {
   public:
-    using Backend = gpu::DetailedSimulator::Backend;
-
     /**
-     * @param app     the profiled application (recording + database)
-     * @param backend machine-layer strategy (GT_DETAILED default)
-     * @param pool    worker pool for the parallel backend (null =
-     *                the process-wide pool)
+     * @param app  the profiled application (recording + database)
+     * @param pool worker pool the replay cells fan out on (null =
+     *             the process-wide pool)
      */
-    explicit DetailedValidator(
-        const ProfiledApp &app,
-        Backend backend = gpu::DetailedSimulator::defaultBackend(),
-        sched::ThreadPool *pool = nullptr);
+    explicit DetailedValidator(const ProfiledApp &app,
+                               sched::ThreadPool *pool = nullptr);
 
     /** Outcome of detail-validating one selection. */
     struct Report
@@ -117,7 +111,6 @@ class DetailedValidator
     const PointCells &cells(const DesignPoint &dp);
 
     const ProfiledApp &app;
-    Backend backend;
     sched::ThreadPool *pool;
     workloads::TemplateJit jit;
     std::unique_ptr<ocl::GpuDriver> driver;

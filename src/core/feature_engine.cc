@@ -1,43 +1,12 @@
 #include "core/feature_engine.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 #include <unordered_map>
 
 #include "common/logging.hh"
 
 namespace gt::core
 {
-
-FeatureBackend
-defaultFeatureBackend()
-{
-    static const FeatureBackend selected = [] {
-        FeatureBackend b = FeatureBackend::Flat;
-        if (const char *env = std::getenv("GT_FEATURES");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "map") {
-                b = FeatureBackend::Map;
-            } else if (value != "flat") {
-                warn("ignoring invalid GT_FEATURES value '", value,
-                     "' (expected 'map' or 'flat')");
-            }
-        }
-        inform("features: ", featureBackendName(b),
-               " extraction backend "
-               "(override with GT_FEATURES=map|flat)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-featureBackendName(FeatureBackend backend)
-{
-    return backend == FeatureBackend::Map ? "map" : "flat";
-}
 
 DispatchFeatureCache::DispatchFeatureCache(const TraceDatabase &db)
 {
@@ -305,25 +274,18 @@ DispatchFeatureCache::projectInto(
     return p;
 }
 
-FeatureEngine::FeatureEngine(const TraceDatabase &db_,
-                             FeatureBackend backend)
-    : db(db_), mode(backend)
+FeatureEngine::FeatureEngine(const TraceDatabase &db_)
+    : db(db_), cache(db),
+      table(simpoint::ProjectionTable::build(cache.uniqueKeys()))
 {
-    if (mode == FeatureBackend::Flat) {
-        cache = std::make_unique<DispatchFeatureCache>(db);
-        table = std::make_unique<simpoint::ProjectionTable>(
-            simpoint::ProjectionTable::build(cache->uniqueKeys()));
-    }
 }
 
 FeatureVector
 FeatureEngine::extract(const Interval &interval,
                        FeatureKind kind) const
 {
-    if (mode == FeatureBackend::Map)
-        return extractFeaturesMap(db, interval, kind);
     DispatchFeatureCache::Scratch scratch;
-    return cache->extract(interval, kind, scratch);
+    return cache.extract(interval, kind, scratch);
 }
 
 std::vector<FeatureVector>
@@ -332,17 +294,9 @@ FeatureEngine::extractAll(const std::vector<Interval> &intervals,
 {
     std::vector<FeatureVector> vectors;
     vectors.reserve(intervals.size());
-    if (mode == FeatureBackend::Map) {
-        for (const Interval &iv : intervals) {
-            FeatureVector vec = extractFeaturesMap(db, iv, kind);
-            vec.normalize();
-            vectors.push_back(std::move(vec));
-        }
-        return vectors;
-    }
     DispatchFeatureCache::Scratch scratch;
     for (const Interval &iv : intervals) {
-        FeatureVector vec = cache->extract(iv, kind, scratch);
+        FeatureVector vec = cache.extract(iv, kind, scratch);
         vec.normalize();
         vectors.push_back(std::move(vec));
     }
@@ -355,18 +309,9 @@ FeatureEngine::projectAll(const std::vector<Interval> &intervals,
 {
     std::vector<simpoint::Point> points;
     points.reserve(intervals.size());
-    if (mode == FeatureBackend::Map) {
-        for (const Interval &iv : intervals) {
-            FeatureVector vec = extractFeaturesMap(db, iv, kind);
-            vec.normalize();
-            points.push_back(simpoint::project(vec));
-        }
-        return points;
-    }
     DispatchFeatureCache::Scratch scratch;
     for (const Interval &iv : intervals)
-        points.push_back(
-            cache->projectInto(iv, kind, scratch, *table));
+        points.push_back(cache.projectInto(iv, kind, scratch, table));
     return points;
 }
 

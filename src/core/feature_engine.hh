@@ -29,38 +29,24 @@
  * 30-configuration explorer builds one engine up front and hands it
  * to every task.
  *
- * Determinism: results are bitwise identical to the map oracle
- * (extractFeaturesMap). Per key, contributions accumulate in
+ * Determinism: results are bitwise identical to the map-walk
+ * oracle (reference::extractFeaturesMap in tests/reference, used by
+ * tests only). Per key, contributions accumulate in
  * dispatch-encounter order — the same order the map's `operator[]
  * +=` applied them — and the final columns iterate in ascending-key
- * order, the map's iteration order. Selection with GT_FEATURES=
- * map|flat (default flat), mirroring GT_INTERP.
+ * order, the map's iteration order.
  */
 
 #ifndef GT_CORE_FEATURE_ENGINE_HH
 #define GT_CORE_FEATURE_ENGINE_HH
 
 #include <array>
-#include <memory>
 #include <unordered_map>
 
 #include "core/simpoint.hh"
 
 namespace gt::core
 {
-
-/** Feature-extraction backend (see the file comment). */
-enum class FeatureBackend : uint8_t
-{
-    Map,  //!< reference oracle: per-interval std::map walk
-    Flat, //!< columnar DispatchFeatureCache + memoized projection
-};
-
-/** Process-wide default: GT_FEATURES=map|flat, else Flat. */
-FeatureBackend defaultFeatureBackend();
-
-/** @return "map" or "flat". */
-const char *featureBackendName(FeatureBackend backend);
 
 /**
  * Per-workload lowering of every DispatchProfile into sparse
@@ -196,18 +182,13 @@ class DispatchFeatureCache
 
 /**
  * Facade the selection pipeline extracts features through: binds a
- * TraceDatabase to a backend, owns the flat backend's cache and
- * memoized projection table, and hides the choice from callers.
- * Build one per workload and share it (const) across tasks.
+ * TraceDatabase to its DispatchFeatureCache and memoized projection
+ * table. Build one per workload and share it (const) across tasks.
  */
 class FeatureEngine
 {
   public:
-    explicit FeatureEngine(
-        const TraceDatabase &db,
-        FeatureBackend backend = defaultFeatureBackend());
-
-    FeatureBackend backend() const { return mode; }
+    explicit FeatureEngine(const TraceDatabase &db);
 
     const TraceDatabase &database() const { return db; }
 
@@ -223,29 +204,23 @@ class FeatureEngine
 
     /**
      * Projected points of all intervals' normalized @p kind vectors
-     * — what the clusterer actually consumes. The flat backend
-     * projects straight off its columns (see
-     * DispatchFeatureCache::projectInto); the map backend extracts,
-     * normalizes, and projects with on-the-fly coefficients. Both
-     * produce bitwise-identical points.
+     * — what the clusterer actually consumes — straight off the
+     * columns (see DispatchFeatureCache::projectInto).
      */
     std::vector<simpoint::Point>
     projectAll(const std::vector<Interval> &intervals,
                FeatureKind kind) const;
 
-    /** Memoized projection rows over the workload's key universe
-     * (null on the map backend, which derives coefficients on the
-     * fly as the oracle always did). */
+    /** Memoized projection rows over the workload's key universe. */
     const simpoint::ProjectionTable *projection() const
     {
-        return table.get();
+        return &table;
     }
 
   private:
     const TraceDatabase &db;
-    FeatureBackend mode;
-    std::unique_ptr<DispatchFeatureCache> cache; //!< flat only
-    std::unique_ptr<simpoint::ProjectionTable> table; //!< flat only
+    DispatchFeatureCache cache;
+    simpoint::ProjectionTable table;
 };
 
 } // namespace gt::core

@@ -13,12 +13,11 @@
  * intervals running the same code on different data volumes
  * separate in feature space.
  *
- * Two extraction backends produce these vectors (selectable with
- * GT_FEATURES=map|flat, default flat; see core/feature_engine.hh):
- * the original per-interval walk into a std::map, kept as the
- * reference oracle, and the columnar DispatchFeatureCache engine
- * that lowers each dispatch profile once and merges per-dispatch
- * contributions. Both produce bitwise-identical vectors.
+ * The columnar DispatchFeatureCache engine (core/feature_engine.hh)
+ * produces these vectors: it lowers each dispatch profile once and
+ * merges per-dispatch contributions. Its bitwise oracle, the
+ * original per-interval walk into a std::map, lives in
+ * tests/reference.
  */
 
 #ifndef GT_CORE_FEATURES_HH
@@ -112,8 +111,7 @@ class FeatureVector
     /**
      * Bulk construction from pre-merged columns. @p keys must be
      * strictly ascending and pair index-wise with @p values; this is
-     * the fast path the DispatchFeatureCache and the map oracle
-     * (whose std::map already iterates ascending) both use.
+     * the fast path the DispatchFeatureCache uses.
      */
     static FeatureVector fromSorted(std::vector<uint64_t> keys,
                                     std::vector<double> values);
@@ -124,25 +122,14 @@ class FeatureVector
 };
 
 /**
- * Extract the @p kind feature vector of @p interval with the
- * process-default backend (GT_FEATURES). One-shot convenience: the
- * flat backend lowers the whole database per call, so loops over
+ * Extract the @p kind feature vector of @p interval. One-shot
+ * convenience: it lowers the whole database per call, so loops over
  * many intervals should use a core::FeatureEngine (or
  * extractAllFeatures) instead.
  */
 FeatureVector extractFeatures(const TraceDatabase &db,
                               const Interval &interval,
                               FeatureKind kind);
-
-/**
- * Reference oracle: walk the interval's dispatch profiles into an
- * ordered map, exactly as the original implementation did. The flat
- * engine is differentially tested against this path
- * (tests/test_feature_engine.cc).
- */
-FeatureVector extractFeaturesMap(const TraceDatabase &db,
-                                 const Interval &interval,
-                                 FeatureKind kind);
 
 /** Extract vectors for all intervals (normalized), sharing one
  * engine across the loop. */

@@ -93,7 +93,7 @@ profileSuite(const std::vector<const workloads::Workload *> &apps,
 TraceDatabase
 replayTrial(const cfl::Recording &recording,
             const gpu::DeviceConfig &config,
-            const gpu::TrialConfig &trial, TraceDbBackend backend)
+            const gpu::TrialConfig &trial)
 {
     workloads::TemplateJit jit;
     ocl::GpuDriver driver(config, jit, trial);
@@ -121,7 +121,7 @@ replayTrial(const cfl::Recording &recording,
 
     TraceDatabase db = TraceDatabase::build(
         profile_tool.takeProfiles(), tracer.kernelTimings(),
-        tracer.callStream(), backend);
+        tracer.callStream());
     pin.detach();
     return db;
 }

@@ -93,15 +93,11 @@ std::vector<ProfiledApp> profileSuite(
 
 /**
  * Replay @p recording on @p config under @p trial with the GT-Pin
- * selection tool attached, returning the new trial's database built
- * on @p backend (defaults to the process-wide GT_TRACEDB choice;
- * the differential tests pin it to compare backends on one replay).
+ * selection tool attached, returning the new trial's database.
  */
 TraceDatabase replayTrial(const cfl::Recording &recording,
                           const gpu::DeviceConfig &config,
-                          const gpu::TrialConfig &trial,
-                          TraceDbBackend backend =
-                              defaultTraceDbBackend());
+                          const gpu::TrialConfig &trial);
 
 } // namespace gt::core
 

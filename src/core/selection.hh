@@ -50,7 +50,7 @@ struct SubsetSelection
     /**
      * K-means assignment work behind this selection (all candidate-k
      * runs of the BIC sweep; see Clustering::stats). Lets callers
-     * report the pruned backend's skip rate.
+     * report the pruned clusterer's skip rate.
      */
     simpoint::KMeansStats clusterStats;
 

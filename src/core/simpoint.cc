@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "common/logging.hh"
 
@@ -59,13 +57,13 @@ static_assert(sizeof(Point) == sizeof(double) * projectedDims,
               "Point rows must be packed for the flat SoA layout");
 
 /**
- * Conservative bound arithmetic for the pruned backend.
+ * Conservative bound arithmetic for the pruned assignment step.
  *
  * The triangle-inequality bounds are exact in real arithmetic, but
  * the computed dist2/sqrt/add/sub chain rounds — and a bound that
  * rounds the wrong way could prune a point whose exact Lloyd scan
  * would have flipped its assignment, breaking bitwise equality with
- * the oracle. Every bound therefore gets a slack push in its safe
+ * plain Lloyd. Every bound therefore gets a slack push in its safe
  * direction: upper bounds are inflated and lower bounds deflated by
  * a relative term that dominates the worst-case relative round-off
  * of the ~2·projectedDims-operation distance chain (~20 ulp; the
@@ -130,23 +128,17 @@ struct FlatRun
 
 /**
  * Weighted k-means with k-means++ seeding over flat row-major
- * points. Both backends share the seeding, the centroid update, the
- * empty-cluster re-seed draws, and the final distortion reduction;
- * the backend only decides whether the assignment step may skip
- * k-way scans that provably cannot change an assignment. See the
- * KMeansBackend doc comment for why the result is bitwise identical
- * either way.
+ * points, deciding assignments once per distinct value of @p uniq
+ * and skipping k-way scans that provably cannot change an
+ * assignment. See kmeansRun() for why the result is bitwise
+ * identical to plain Lloyd k-means.
  */
 FlatRun
 kmeansFlat(const double *pts, size_t n,
            const std::vector<double> &weights, int k, int max_iters,
-           Rng &rng, sched::ThreadPool &pool, KMeansBackend backend,
-           const UniqueIndex *uniq)
+           Rng &rng, sched::ThreadPool &pool, const UniqueIndex &uniq)
 {
     constexpr int dims = projectedDims;
-    const bool pruned = backend == KMeansBackend::Pruned;
-    GT_ASSERT(!pruned || uniq,
-              "pruned k-means needs a unique-value index");
     FlatRun run;
     run.centroids.reserve((size_t)k * dims);
     auto centroidRow = [&](int c) {
@@ -157,9 +149,9 @@ kmeansFlat(const double *pts, size_t n,
                              pts + (i + 1) * dims);
     };
 
-    const size_t m = pruned ? uniq->rep.size() : 0;
+    const size_t m = uniq.rep.size();
     auto repRow = [&](size_t u) {
-        return pts + (size_t)uniq->rep[u] * dims;
+        return pts + (size_t)uniq.rep[u] * dims;
     };
 
     // k-means++ initialization (weighted). The distance refresh and
@@ -171,16 +163,12 @@ kmeansFlat(const double *pts, size_t n,
     // chunk layout is a function of n alone, so both the total and
     // the picked index are bit-identical at every thread count.
     //
-    // The pruned backend refreshes one distance per distinct value
-    // (min_d2 is a pure function of the point's coordinates) and the
-    // per-point chunk loop gathers from that table — the same values
-    // in the same accumulation order, so totals and draws match the
-    // per-point oracle path bitwise.
-    std::vector<double> min_d2, mtab;
-    if (pruned)
-        mtab.assign(m, std::numeric_limits<double>::max());
-    else
-        min_d2.assign(n, std::numeric_limits<double>::max());
+    // The distance refresh runs once per distinct value (min_d2 is a
+    // pure function of the point's coordinates) and the per-point
+    // chunk loop gathers from that table — the same values in the
+    // same accumulation order as a per-point refresh, so totals and
+    // draws match plain Lloyd seeding bitwise.
+    std::vector<double> mtab(m, std::numeric_limits<double>::max());
     size_t num_chunks = (n + reduceGrain - 1) / reduceGrain;
     std::vector<double> partials(num_chunks, 0.0);
     size_t first = rng.nextBounded(n);
@@ -188,46 +176,24 @@ kmeansFlat(const double *pts, size_t n,
     int seeded = 1;
     while (seeded < k) {
         const double *latest = centroidRow(seeded - 1);
-        if (pruned) {
-            for (size_t u = 0; u < m; ++u) {
-                // Exactly-coincident values (min_d2 already 0) skip
-                // the recompute: dist2 is non-negative, so
-                // min(0, d) == 0 — value- and bit-identical.
-                if (mtab[u] != 0.0) {
-                    mtab[u] = std::min(mtab[u],
-                                       dist2Row(repRow(u), latest));
-                }
-            }
-            pool.parallelFor(
-                num_chunks,
-                [&](size_t c) {
-                    size_t begin = c * reduceGrain;
-                    size_t end = std::min(n, begin + reduceGrain);
-                    double part = 0.0;
-                    for (size_t i = begin; i < end; ++i)
-                        part += mtab[uniq->uid[i]] * weights[i];
-                    partials[c] = part;
-                },
-                1);
-        } else {
-            pool.parallelFor(
-                num_chunks,
-                [&](size_t c) {
-                    size_t begin = c * reduceGrain;
-                    size_t end = std::min(n, begin + reduceGrain);
-                    double part = 0.0;
-                    for (size_t i = begin; i < end; ++i) {
-                        if (min_d2[i] != 0.0) {
-                            min_d2[i] = std::min(
-                                min_d2[i],
-                                dist2Row(pts + i * dims, latest));
-                        }
-                        part += min_d2[i] * weights[i];
-                    }
-                    partials[c] = part;
-                },
-                1);
+        for (size_t u = 0; u < m; ++u) {
+            // Exactly-coincident values (min_d2 already 0) skip the
+            // recompute: dist2 is non-negative, so min(0, d) == 0 —
+            // value- and bit-identical.
+            if (mtab[u] != 0.0)
+                mtab[u] = std::min(mtab[u], dist2Row(repRow(u), latest));
         }
+        pool.parallelFor(
+            num_chunks,
+            [&](size_t c) {
+                size_t begin = c * reduceGrain;
+                size_t end = std::min(n, begin + reduceGrain);
+                double part = 0.0;
+                for (size_t i = begin; i < end; ++i)
+                    part += mtab[uniq.uid[i]] * weights[i];
+                partials[c] = part;
+            },
+            1);
         // Combine in ascending chunk order, exactly as
         // parallelReduce would.
         double total = 0.0;
@@ -257,9 +223,7 @@ kmeansFlat(const double *pts, size_t n,
                 size_t end = std::min(n, begin + reduceGrain);
                 double acc = base;
                 for (size_t i = begin; i < end; ++i) {
-                    acc += (pruned ? mtab[uniq->uid[i]]
-                                   : min_d2[i]) *
-                        weights[i];
+                    acc += mtab[uniq.uid[i]] * weights[i];
                     if (acc >= pick) {
                         chosen = i;
                         found = true;
@@ -283,8 +247,7 @@ kmeansFlat(const double *pts, size_t n,
     // The exact Lloyd inner loop — the same dist2 expression and the
     // same c = 1..k comparison order as always, so ties resolve to
     // the lowest index. The second-best tracking costs comparisons
-    // only (no extra FP arithmetic) and feeds the pruned backend's
-    // lower bound; the Lloyd backend ignores it.
+    // only (no extra FP arithmetic) and feeds the lower bound.
     auto scanPoint = [&](const double *p, double &best_d,
                          double &second_d) {
         int best = 0;
@@ -303,20 +266,15 @@ kmeansFlat(const double *pts, size_t n,
         return best;
     };
 
-    // Pruned-backend state, all per distinct value: the bounds, the
+    // Assignment state, all per distinct value: the bounds, the
     // group's current assignment (members always agree: they start
     // at 0 together and every pass applies the same scan result to
     // the whole group), and the pass's scan results.
-    std::vector<double> upper, lower, halfMin, drift, old_centroids;
-    std::vector<int> assign_tab, best_tab;
-    if (pruned) {
-        upper.assign(m, std::numeric_limits<double>::infinity());
-        lower.assign(m, -std::numeric_limits<double>::infinity());
-        halfMin.assign((size_t)k, 0.0);
-        drift.assign((size_t)k, 0.0);
-        assign_tab.assign(m, 0);
-        best_tab.assign(m, 0);
-    }
+    std::vector<double> upper(m, std::numeric_limits<double>::infinity());
+    std::vector<double> lower(m, -std::numeric_limits<double>::infinity());
+    std::vector<double> halfMin((size_t)k, 0.0), drift((size_t)k, 0.0);
+    std::vector<double> old_centroids;
+    std::vector<int> assign_tab(m, 0), best_tab(m, 0);
     std::atomic<uint64_t> bound_prunes{0};
     std::atomic<uint64_t> tighten_prunes{0};
     std::atomic<uint64_t> memo_hits{0};
@@ -331,124 +289,100 @@ kmeansFlat(const double *pts, size_t n,
         // the write order irrelevant.
         std::atomic<bool> changed{false};
         run.stats.assignSteps += n;
-        if (!pruned) {
-            pool.parallelFor(
-                num_chunks,
-                [&](size_t chunk) {
-                    size_t begin = chunk * reduceGrain;
-                    size_t end = std::min(n, begin + reduceGrain);
-                    for (size_t i = begin; i < end; ++i) {
-                        double best_d, second_d;
-                        int best = scanPoint(pts + i * dims, best_d,
-                                             second_d);
-                        if (run.assignment[i] != best) {
-                            run.assignment[i] = best;
-                            changed.store(
-                                true, std::memory_order_relaxed);
-                        }
-                    }
-                    full_scans.fetch_add(
-                        end - begin, std::memory_order_relaxed);
-                },
-                1);
-        } else {
-            // Half the minimum inter-centroid distance per cluster:
-            // a point closer to its centroid than that cannot be
-            // closer to any other (k <= maxK, so the O(k^2) scan is
-            // noise next to the per-value loop).
-            for (int c = 0; c < k; ++c) {
-                double best =
-                    std::numeric_limits<double>::infinity();
-                for (int o = 0; o < k; ++o) {
-                    if (o == c)
-                        continue;
-                    best = std::min(
-                        best, distLower(dist2Row(centroidRow(c),
-                                                 centroidRow(o))));
-                }
-                halfMin[c] = 0.5 * best;
+        // Half the minimum inter-centroid distance per cluster:
+        // a point closer to its centroid than that cannot be
+        // closer to any other (k <= maxK, so the O(k^2) scan is
+        // noise next to the per-value loop).
+        for (int c = 0; c < k; ++c) {
+            double best =
+                std::numeric_limits<double>::infinity();
+            for (int o = 0; o < k; ++o) {
+                if (o == c)
+                    continue;
+                best = std::min(
+                    best, distLower(dist2Row(centroidRow(c),
+                                             centroidRow(o))));
             }
-            // One decision per distinct value, then an integer
-            // gather applies it to every member.
-            pool.parallelFor(
-                u_chunks,
-                [&](size_t chunk) {
-                    size_t begin = chunk * reduceGrain;
-                    size_t end = std::min(m, begin + reduceGrain);
-                    uint64_t bprune = 0, tprune = 0, memo = 0,
-                             scans = 0;
-                    for (size_t u = begin; u < end; ++u) {
-                        int a = assign_tab[u];
-                        uint64_t members = uniq->count[u];
-                        // Strict < throughout: an exact tie on a
-                        // bound falls through to the exact scan, so
-                        // tie-breaking always happens in Lloyd
-                        // order.
-                        double bound =
-                            std::max(halfMin[a], lower[u]);
-                        if (upper[u] < bound) {
-                            bprune += members;
+            halfMin[c] = 0.5 * best;
+        }
+        // One decision per distinct value, then an integer
+        // gather applies it to every member.
+        pool.parallelFor(
+            u_chunks,
+            [&](size_t chunk) {
+                size_t begin = chunk * reduceGrain;
+                size_t end = std::min(m, begin + reduceGrain);
+                uint64_t bprune = 0, tprune = 0, memo = 0,
+                         scans = 0;
+                for (size_t u = begin; u < end; ++u) {
+                    int a = assign_tab[u];
+                    uint64_t members = uniq.count[u];
+                    // Strict < throughout: an exact tie on a
+                    // bound falls through to the exact scan, so
+                    // tie-breaking always happens in Lloyd
+                    // order.
+                    double bound =
+                        std::max(halfMin[a], lower[u]);
+                    if (upper[u] < bound) {
+                        bprune += members;
+                        best_tab[u] = a;
+                        continue;
+                    }
+                    const double *p = repRow(u);
+                    if (upper[u] <
+                        std::numeric_limits<double>::infinity()) {
+                        double du = distUpper(
+                            dist2Row(p, centroidRow(a)));
+                        upper[u] = du;
+                        if (du < bound) {
+                            tprune += members;
                             best_tab[u] = a;
                             continue;
                         }
-                        const double *p = repRow(u);
-                        if (upper[u] <
-                            std::numeric_limits<double>::infinity()) {
-                            double du = distUpper(
-                                dist2Row(p, centroidRow(a)));
-                            upper[u] = du;
-                            if (du < bound) {
-                                tprune += members;
-                                best_tab[u] = a;
-                                continue;
-                            }
-                        }
-                        double best_d, second_d;
-                        int best = scanPoint(p, best_d, second_d);
-                        ++scans;
-                        memo += members - 1;
-                        upper[u] = distUpper(best_d);
-                        lower[u] = distLower(second_d);
-                        best_tab[u] = best;
                     }
-                    bound_prunes.fetch_add(
-                        bprune, std::memory_order_relaxed);
-                    tighten_prunes.fetch_add(
-                        tprune, std::memory_order_relaxed);
-                    memo_hits.fetch_add(memo,
-                                        std::memory_order_relaxed);
-                    full_scans.fetch_add(
-                        scans, std::memory_order_relaxed);
-                },
-                1);
-            pool.parallelFor(
-                num_chunks,
-                [&](size_t chunk) {
-                    size_t begin = chunk * reduceGrain;
-                    size_t end = std::min(n, begin + reduceGrain);
-                    for (size_t i = begin; i < end; ++i) {
-                        int best = best_tab[uniq->uid[i]];
-                        if (run.assignment[i] != best) {
-                            run.assignment[i] = best;
-                            changed.store(
-                                true, std::memory_order_relaxed);
-                        }
+                    double best_d, second_d;
+                    int best = scanPoint(p, best_d, second_d);
+                    ++scans;
+                    memo += members - 1;
+                    upper[u] = distUpper(best_d);
+                    lower[u] = distLower(second_d);
+                    best_tab[u] = best;
+                }
+                bound_prunes.fetch_add(
+                    bprune, std::memory_order_relaxed);
+                tighten_prunes.fetch_add(
+                    tprune, std::memory_order_relaxed);
+                memo_hits.fetch_add(memo,
+                                    std::memory_order_relaxed);
+                full_scans.fetch_add(
+                    scans, std::memory_order_relaxed);
+            },
+            1);
+        pool.parallelFor(
+            num_chunks,
+            [&](size_t chunk) {
+                size_t begin = chunk * reduceGrain;
+                size_t end = std::min(n, begin + reduceGrain);
+                for (size_t i = begin; i < end; ++i) {
+                    int best = best_tab[uniq.uid[i]];
+                    if (run.assignment[i] != best) {
+                        run.assignment[i] = best;
+                        changed.store(
+                            true, std::memory_order_relaxed);
                     }
-                },
-                1);
-            assign_tab = best_tab;
-        }
+                }
+            },
+            1);
+        assign_tab = best_tab;
         if (!changed.load() && iter > 0)
             break;
         // Update: per-chunk partial centroid sums combined in chunk
         // order (deterministic FP tree; see reduceGrain).
-        if (pruned)
-            old_centroids = run.centroids;
-        Accum identity;
-        identity.sums.assign((size_t)k * dims, 0.0);
-        identity.wsum.assign((size_t)k, 0.0);
+        old_centroids = run.centroids;
+        // n >= 1, so every reduction slot is a chunk's own partial and
+        // the identity is never read.
         Accum acc = pool.parallelReduce<Accum>(
-            n, reduceGrain, identity,
+            n, reduceGrain, Accum{},
             [&](size_t begin, size_t end) {
                 Accum part;
                 part.sums.assign((size_t)k * dims, 0.0);
@@ -485,36 +419,34 @@ kmeansFlat(const double *pts, size_t n,
                 std::copy(p, p + dims, row);
             }
         }
-        if (pruned) {
-            // Centroid drift loosens every bound: the assigned
-            // centroid may have moved toward the point (upper grows
-            // by its drift) and any other centroid may have moved
-            // closer (lower shrinks by the largest drift among
-            // them — the second-largest when the assigned centroid
-            // is itself the drift maximum).
-            int drift_argmax = 0;
-            double drift_max = -1.0, drift_second = 0.0;
-            for (int c = 0; c < k; ++c) {
-                drift[c] = distUpper(dist2Row(
-                    old_centroids.data() + (size_t)c * dims,
-                    centroidRow(c)));
-                if (drift[c] > drift_max) {
-                    drift_second = drift_max;
-                    drift_max = drift[c];
-                    drift_argmax = c;
-                } else if (drift[c] > drift_second) {
-                    drift_second = drift[c];
-                }
+        // Centroid drift loosens every bound: the assigned
+        // centroid may have moved toward the point (upper grows
+        // by its drift) and any other centroid may have moved
+        // closer (lower shrinks by the largest drift among
+        // them — the second-largest when the assigned centroid
+        // is itself the drift maximum).
+        int drift_argmax = 0;
+        double drift_max = -1.0, drift_second = 0.0;
+        for (int c = 0; c < k; ++c) {
+            drift[c] = distUpper(dist2Row(
+                old_centroids.data() + (size_t)c * dims,
+                centroidRow(c)));
+            if (drift[c] > drift_max) {
+                drift_second = drift_max;
+                drift_max = drift[c];
+                drift_argmax = c;
+            } else if (drift[c] > drift_second) {
+                drift_second = drift[c];
             }
-            if (drift_second < 0.0)
-                drift_second = 0.0;
-            for (size_t u = 0; u < m; ++u) {
-                int a = assign_tab[u];
-                upper[u] = boundAdd(upper[u], drift[a]);
-                lower[u] = boundSub(lower[u], a == drift_argmax
-                                        ? drift_second
-                                        : drift_max);
-            }
+        }
+        if (drift_second < 0.0)
+            drift_second = 0.0;
+        for (size_t u = 0; u < m; ++u) {
+            int a = assign_tab[u];
+            upper[u] = boundAdd(upper[u], drift[a]);
+            lower[u] = boundSub(lower[u], a == drift_argmax
+                                    ? drift_second
+                                    : drift_max);
         }
     }
     run.stats.boundPrunes = bound_prunes.load();
@@ -525,16 +457,13 @@ kmeansFlat(const double *pts, size_t n,
     // Final distortion, emitting the per-cluster weight partials the
     // BIC score consumes (combined in the same chunk order, so the
     // distortion bits match the historical scalar reduction and the
-    // weights are thread-count-invariant). The pruned backend
-    // computes one distance per distinct value and gathers — the
-    // same dist2Row value the per-point expression would produce, in
-    // the same accumulation order, so the sum matches bitwise.
-    std::vector<double> dtab;
-    if (pruned) {
-        dtab.resize(m);
-        for (size_t u = 0; u < m; ++u)
-            dtab[u] = dist2Row(repRow(u), centroidRow(assign_tab[u]));
-    }
+    // weights are thread-count-invariant). One distance per distinct
+    // value, gathered per point — the same dist2Row value the
+    // per-point expression would produce, in the same accumulation
+    // order, so the sum matches plain Lloyd bitwise.
+    std::vector<double> dtab(m);
+    for (size_t u = 0; u < m; ++u)
+        dtab[u] = dist2Row(repRow(u), centroidRow(assign_tab[u]));
     struct DistAccum
     {
         double dist = 0.0;
@@ -549,10 +478,7 @@ kmeansFlat(const double *pts, size_t n,
             part.wsum.assign((size_t)k, 0.0);
             for (size_t i = begin; i < end; ++i) {
                 auto c = (size_t)run.assignment[i];
-                part.dist += weights[i] *
-                    (pruned ? dtab[uniq->uid[i]]
-                            : dist2Row(pts + i * dims,
-                                       centroidRow((int)c)));
+                part.dist += weights[i] * dtab[uniq.uid[i]];
                 part.wsum[c] += weights[i];
             }
             return part;
@@ -575,7 +501,7 @@ kmeansFlat(const double *pts, size_t n,
  * instead of re-scanning the population.
  */
 double
-bicScore(const FlatRun &km, int k)
+bicScore(const KMeansRun &km, int k)
 {
     double total_w = 0.0;
     for (int c = 0; c < k; ++c)
@@ -597,6 +523,21 @@ bicScore(const FlatRun &km, int k)
 
     double params = (double)k * (d + 1.0);
     return ll - params / 2.0 * std::log(total_w);
+}
+
+/** Convert a finished run to the public form (centroids as Points). */
+KMeansRun
+toRun(FlatRun &&run, int k)
+{
+    KMeansRun out;
+    out.assignment = std::move(run.assignment);
+    out.centroids.resize((size_t)k);
+    std::memcpy(out.centroids.data(), run.centroids.data(),
+                (size_t)k * sizeof(Point));
+    out.distortion = run.distortion;
+    out.clusterWeight = std::move(run.clusterWeight);
+    out.stats = run.stats;
+    return out;
 }
 
 /** Flatten Point rows into the row-major array kmeansFlat consumes
@@ -723,39 +664,10 @@ KMeansStats::pruneRate() const
         (double)assignSteps;
 }
 
-KMeansBackend
-defaultKMeansBackend()
-{
-    static const KMeansBackend selected = [] {
-        KMeansBackend b = KMeansBackend::Pruned;
-        if (const char *env = std::getenv("GT_KMEANS");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "lloyd") {
-                b = KMeansBackend::Lloyd;
-            } else if (value != "pruned") {
-                warn("ignoring invalid GT_KMEANS value '", value,
-                     "' (expected 'lloyd' or 'pruned')");
-            }
-        }
-        inform("simpoint: ", kmeansBackendName(b),
-               " k-means backend "
-               "(override with GT_KMEANS=lloyd|pruned)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-kmeansBackendName(KMeansBackend backend)
-{
-    return backend == KMeansBackend::Lloyd ? "lloyd" : "pruned";
-}
-
 KMeansRun
 kmeansRun(const std::vector<Point> &points,
           const std::vector<double> &weights, int k, int max_iters,
-          Rng &rng, sched::ThreadPool *pool, KMeansBackend backend)
+          Rng &rng, sched::ThreadPool *pool)
 {
     GT_ASSERT(!points.empty(), "k-means over an empty population");
     GT_ASSERT(points.size() == weights.size(),
@@ -765,20 +677,10 @@ kmeansRun(const std::vector<Point> &points,
     sched::ThreadPool &p =
         pool ? *pool : sched::ThreadPool::global();
     std::vector<double> flat = flattenPoints(points);
-    UniqueIndex uniq;
-    if (backend == KMeansBackend::Pruned)
-        uniq = buildUniqueIndex(flat.data(), points.size());
-    FlatRun run = kmeansFlat(flat.data(), points.size(), weights, k,
-                             max_iters, rng, p, backend, &uniq);
-    KMeansRun out;
-    out.assignment = std::move(run.assignment);
-    out.centroids.resize((size_t)k);
-    std::memcpy(out.centroids.data(), run.centroids.data(),
-                (size_t)k * sizeof(Point));
-    out.distortion = run.distortion;
-    out.clusterWeight = std::move(run.clusterWeight);
-    out.stats = run.stats;
-    return out;
+    UniqueIndex uniq = buildUniqueIndex(flat.data(), points.size());
+    return toRun(kmeansFlat(flat.data(), points.size(), weights, k,
+                            max_iters, rng, p, uniq),
+                 k);
 }
 
 ProjectionTable
@@ -879,18 +781,9 @@ clusterPoints(const std::vector<Point> &points,
               const std::vector<double> &weights,
               const ClusterOptions &options)
 {
-    GT_ASSERT(!points.empty(), "clustering an empty population");
-    GT_ASSERT(points.size() == weights.size(),
-              "points/weights size mismatch");
-    for (double w : weights)
-        GT_ASSERT(w > 0.0, "non-positive interval weight");
-
     sched::ThreadPool &pool =
         options.pool ? *options.pool : sched::ThreadPool::global();
-
     size_t n = points.size();
-    int max_k = std::min<int>(options.maxK, (int)n);
-    Rng rng(options.seed);
 
     // Flatten the population once; every candidate-k run reads the
     // same row-major array. The unique-value index (which values
@@ -908,26 +801,49 @@ clusterPoints(const std::vector<Point> &points,
               " points, population has ", n);
     UniqueIndex local;
     const UniqueIndex *uniq = options.uniqueIndex;
-    if (options.backend == KMeansBackend::Pruned && !uniq) {
+    if (!uniq) {
         local = buildUniqueIndex(flat.data(), n);
         uniq = &local;
     }
+
+    return bicSweep(points, weights, options, [&](int k, Rng &rng) {
+        return toRun(kmeansFlat(flat.data(), n, weights, k,
+                                options.maxIters, rng, pool, *uniq),
+                     k);
+    });
+}
+
+Clustering
+bicSweep(const std::vector<Point> &points,
+         const std::vector<double> &weights,
+         const ClusterOptions &options, const KMeansFn &run_k)
+{
+    GT_ASSERT(!points.empty(), "clustering an empty population");
+    GT_ASSERT(points.size() == weights.size(),
+              "points/weights size mismatch");
+    for (double w : weights)
+        GT_ASSERT(w > 0.0, "non-positive interval weight");
+
+    sched::ThreadPool &pool =
+        options.pool ? *options.pool : sched::ThreadPool::global();
+
+    size_t n = points.size();
+    int max_k = std::min<int>(options.maxK, (int)n);
+    Rng rng(options.seed);
 
     // Run k-means for every candidate k and score with BIC. Each
     // candidate draws from split(k) of the seed stream, so the runs
     // are independent tasks whose results cannot depend on execution
     // order; the nested per-point loops share the same pool
     // cooperatively.
-    std::vector<FlatRun> runs((size_t)max_k);
+    std::vector<KMeansRun> runs((size_t)max_k);
     std::vector<double> bics((size_t)max_k);
     pool.parallelFor(
         (size_t)max_k,
         [&](size_t idx) {
             int k = (int)idx + 1;
             Rng sub = rng.split((uint64_t)k);
-            runs[idx] = kmeansFlat(flat.data(), n, weights, k,
-                                   options.maxIters, sub, pool,
-                                   options.backend, uniq);
+            runs[idx] = run_k(k, sub);
             bics[idx] = bicScore(runs[idx], k);
         },
         1);
@@ -948,7 +864,7 @@ clusterPoints(const std::vector<Point> &points,
         }
     }
 
-    const FlatRun &km = runs[(size_t)chosen_k - 1];
+    const KMeansRun &km = runs[(size_t)chosen_k - 1];
 
     Clustering out;
     out.k = chosen_k;
@@ -967,9 +883,7 @@ clusterPoints(const std::vector<Point> &points,
         auto c = (size_t)km.assignment[i];
         total_w += weights[i];
         out.weight[c] += weights[i];
-        double d = dist2Row(flat.data() + i * projectedDims,
-                            km.centroids.data() +
-                                c * projectedDims);
+        double d = dist2Row(points[i].data(), km.centroids[c].data());
         if (d < best_d[c]) {
             best_d[c] = d;
             out.representative[c] = i;
@@ -983,7 +897,7 @@ clusterPoints(const std::vector<Point> &points,
     filtered.distortion = km.distortion;
     // Assignment work across every candidate k, merged in fixed k
     // order (the counters themselves are order-insensitive sums).
-    for (const FlatRun &r : runs)
+    for (const KMeansRun &r : runs)
         filtered.stats.merge(r.stats);
     std::vector<int> remap((size_t)chosen_k, -1);
     for (int c = 0; c < chosen_k; ++c) {

@@ -17,6 +17,7 @@
 #define GT_CORE_SIMPOINT_HH
 
 #include <array>
+#include <functional>
 
 #include "common/rng.hh"
 #include "core/features.hh"
@@ -127,43 +128,14 @@ UniqueIndex extendUniqueIndex(const UniqueIndex &base,
                               size_t n);
 
 /**
- * K-means assignment backend (GT_KMEANS=lloyd|pruned, default
- * pruned; mirrors GT_INTERP/GT_FEATURES/GT_MEMTRACE).
- *
- * Both backends produce bitwise-identical clusterings at every
- * thread count. The pruned backend keeps Hamerly/Elkan-style
- * per-point bounds — an upper bound on the distance to the assigned
- * centroid, a lower bound on the second-nearest, per-iteration
- * centroid drift, and the half minimum inter-centroid distance per
- * cluster — and skips the k-way distance scan whenever the bounds
- * prove the assignment cannot change. Bound arithmetic is made
- * conservative under floating-point rounding (see simpoint.cc), and
- * whenever pruning fails the point runs the exact Lloyd inner loop
- * (same dist2 expression, same c = 1..k comparison order), so every
- * assignment — and everything derived from it — is identical to the
- * Lloyd oracle by construction.
- */
-enum class KMeansBackend : uint8_t
-{
-    Lloyd,  //!< reference oracle: full n x k scan every iteration
-    Pruned, //!< triangle-inequality-pruned scan (default)
-};
-
-/** Process-wide default: GT_KMEANS=lloyd|pruned, else Pruned. */
-KMeansBackend defaultKMeansBackend();
-
-/** @return "lloyd" or "pruned". */
-const char *kmeansBackendName(KMeansBackend backend);
-
-/**
  * Assignment-step work counters. Every point examined by an
  * assignment pass is counted exactly once: a prune skipped its
  * k-way scan (on the cached upper bound, or after tightening the
  * bound with one exact distance), the point shared the scan of a
- * coincident representative (the pruned backend decides once per
- * distinct value), or it ran the full Lloyd scan itself. On the
- * Lloyd backend fullScans == assignSteps and the other counters
- * stay zero.
+ * coincident representative (assignments are decided once per
+ * distinct value), or it ran the full Lloyd scan itself. A plain
+ * Lloyd run has fullScans == assignSteps and the other counters
+ * zero.
  */
 struct KMeansStats
 {
@@ -201,15 +173,25 @@ struct KMeansRun
 /**
  * Run weighted k-means++ seeding plus at most @p max_iters Lloyd
  * iterations at a fixed @p k (1 <= k <= points.size()) on @p pool
- * (null = the process-wide pool). The @p backend only changes how
- * the assignment step is computed, never its result: both backends
- * return bitwise-identical runs and advance @p rng identically.
+ * (null = the process-wide pool).
+ *
+ * The assignment step keeps Hamerly/Elkan-style bounds per distinct
+ * point value — an upper bound on the distance to the assigned
+ * centroid, a lower bound on the second-nearest, per-iteration
+ * centroid drift, and the half minimum inter-centroid distance per
+ * cluster — and skips the k-way distance scan whenever the bounds
+ * prove the assignment cannot change. Bound arithmetic is made
+ * conservative under floating-point rounding (see simpoint.cc), and
+ * whenever pruning fails the value runs the exact Lloyd inner loop
+ * (same dist2 expression, same c = 1..k comparison order), so every
+ * assignment — and everything derived from it, including the draws
+ * taken from @p rng — is identical to plain Lloyd k-means by
+ * construction. The plain Lloyd oracle lives in tests/reference.
  */
 KMeansRun kmeansRun(const std::vector<Point> &points,
                     const std::vector<double> &weights, int k,
                     int max_iters, Rng &rng,
-                    sched::ThreadPool *pool = nullptr,
-                    KMeansBackend backend = defaultKMeansBackend());
+                    sched::ThreadPool *pool = nullptr);
 
 /** Result of clustering one interval population. */
 struct Clustering
@@ -269,16 +251,10 @@ struct ClusterOptions
      * build one per call). The index is a pure function of the point
      * values, so a caller that grows a population incrementally can
      * extend a cached index (extendUniqueIndex) instead of
-     * re-sorting the whole population on every refresh. Consulted
-     * only by the pruned backend; clusterPoints() asserts the size
-     * matches.
+     * re-sorting the whole population on every refresh.
+     * clusterPoints() asserts the size matches.
      */
     const UniqueIndex *uniqueIndex = nullptr;
-    /**
-     * Assignment-step backend. Changes wall clock only: clusterings
-     * are bitwise identical across backends (see KMeansBackend).
-     */
-    KMeansBackend backend = defaultKMeansBackend();
 };
 
 /**
@@ -301,6 +277,21 @@ Clustering cluster(const std::vector<FeatureVector> &vectors,
 Clustering clusterPoints(const std::vector<Point> &points,
                          const std::vector<double> &weights,
                          const ClusterOptions &options = {});
+
+/** One fixed-k k-means run drawing from @p rng (see kmeansRun). */
+using KMeansFn = std::function<KMeansRun(int k, Rng &rng)>;
+
+/**
+ * SimPoint's BIC sweep over any fixed-k clusterer: run @p run_k for
+ * k = 1..min(maxK, n) on options.pool, candidate k drawing from
+ * Rng::split(k) of options.seed, accept the smallest k whose BIC
+ * reaches the threshold, and pick representatives and ratios.
+ * clusterPoints() is this over the pruned clusterer; the tests run
+ * it over the plain Lloyd oracle.
+ */
+Clustering bicSweep(const std::vector<Point> &points,
+                    const std::vector<double> &weights,
+                    const ClusterOptions &options, const KMeansFn &run_k);
 
 } // namespace gt::core::simpoint
 

@@ -11,20 +11,17 @@
  * which dispatches begin a new synchronization epoch — the only
  * places a GPU simulation interval may legally start or stop.
  *
- * Two storage backends sit behind one accessor API (GT_TRACEDB):
+ * Records are joined by a Builder, whose rows stay fully resident,
+ * and sealing lowers them into an on-disk compressed columnar spill
+ * (core/trace_store) that keeps only block-index metadata resident;
+ * profiles decode on demand through per-thread block caches.
  *
- *  - `columnar` (default): build() lowers the joined records into an
- *    on-disk compressed columnar spill (core/trace_store) and keeps
- *    only block-index metadata resident; profiles decode on demand
- *    through per-thread block caches.
- *  - `mem`: the original fully-resident record vector — the bitwise
- *    oracle the columnar backend is differentially tested against.
- *
- * Every accessor returns bitwise-identical values on both backends:
- * both run the same join (so totals accumulate in the same FP
- * order), seconds are stored as raw doubles and range sums always
- * accumulate left-to-right over the dense column, and the integer
- * columns round-trip exactly.
+ * Every accessor of the sealed database returns bitwise the values
+ * of the builder's resident rows — the oracle the tests compare it
+ * against: totals accumulate in the builder's FP order, seconds are
+ * stored as raw doubles and range sums always accumulate
+ * left-to-right over the dense column, and the integer columns
+ * round-trip exactly.
  */
 
 #ifndef GT_CORE_TRACE_DB_HH
@@ -58,38 +55,20 @@ struct DispatchRecord
     uint64_t syncEpoch = 0;
 };
 
-enum class TraceDbBackend
-{
-    Mem,      //!< fully-resident record vector (the oracle)
-    Columnar, //!< on-disk compressed columnar spill
-};
-
-/** Process-wide backend from GT_TRACEDB (columnar unless overridden;
- * fatal on an unknown value). Logged once. */
-TraceDbBackend defaultTraceDbBackend();
-
-const char *traceDbBackendName(TraceDbBackend backend);
-
 /** Where one database's bytes live; see memoryFootprint(). */
 struct TraceDbFootprint
 {
-    /** Resident joined-record storage: the DispatchRecord structs
-     * (mem backend only; the columnar backend drops them). */
-    uint64_t recordBytes = 0;
-    /** Resident column/index metadata: prefix sums and the seconds
-     * column (mem), or the block index, name table, and epoch runs
-     * (columnar). */
+    /** Resident column/index metadata: the block index, name table,
+     * and epoch runs. */
     uint64_t columnBytes = 0;
-    /** Profile payload bytes: heap behind the resident profiles
-     * (mem), or the encoded on-disk payload section (columnar). */
+    /** Encoded profile payload bytes (on disk). */
     uint64_t profileBytes = 0;
-    /** Spill-file bytes backing the mapping (columnar only). */
+    /** Spill-file bytes backing the mapping. */
     uint64_t fileBytes = 0;
-    /** Decoded-block bytes in the *calling thread's* cache
-     * (columnar only). */
+    /** Decoded-block bytes in the *calling thread's* cache. */
     uint64_t cacheBytes = 0;
-    /** Total bytes resident in memory for this database (records +
-     * columns + resident profiles + this thread's cache). */
+    /** Total bytes resident in memory for this database (columns +
+     * this thread's cache). */
     uint64_t residentBytes = 0;
 };
 
@@ -99,7 +78,7 @@ struct TraceDbFootprint
  * **Thread safety:** a fully built TraceDatabase is immutable — the
  * only mutating operation is build(), which returns by value — and
  * every public accessor is const and touches no shared mutable
- * state (the columnar backend's decode caches are thread_local).
+ * state (the decode caches are thread_local).
  * Any number of scheduler tasks may therefore read one instance
  * concurrently with no synchronization; the 30-config explorer and
  * the fig8 validation fan-out rely on exactly this. Keep it that
@@ -108,10 +87,10 @@ struct TraceDbFootprint
  * sums, and measured SPI below are computed eagerly by build() for
  * the same reason.
  *
- * **Reference lifetime:** on the columnar backend profileAt()
- * returns a reference into the calling thread's decoded-block
- * cache, valid until that thread touches several (>= the cache's
- * slot count) other blocks. Copy the profile to hold it longer.
+ * **Reference lifetime:** profileAt() returns a reference into the
+ * calling thread's decoded-block cache, valid until that thread
+ * touches several (>= the cache's slot count) other blocks. Copy
+ * the profile to hold it longer.
  */
 class TraceDatabase
 {
@@ -135,7 +114,6 @@ class TraceDatabase
     build(std::vector<gtpin::DispatchProfile> profiles,
           const std::vector<cfl::KernelTiming> &timings,
           const std::vector<ocl::ApiCallRecord> &call_stream,
-          TraceDbBackend backend = defaultTraceDbBackend(),
           uint32_t block_size = trace_store::defaultBlockSize);
 
     /**
@@ -147,12 +125,10 @@ class TraceDatabase
      */
     static TraceDatabase openColumnarFile(const std::string &path);
 
-    TraceDbBackend backend() const { return kind; }
-
     uint64_t numDispatches() const { return count; }
 
     /** Dispatch @p i's device profile (see the class comment for
-     * the columnar backend's reference lifetime). */
+     * the reference lifetime). */
     const gtpin::DispatchProfile &profileAt(uint64_t i) const;
 
     /** Dispatch @p i's CoFluent kernel seconds. */
@@ -187,8 +163,7 @@ class TraceDatabase
     double rangeSeconds(uint64_t first, uint64_t last) const;
 
     /** The dense per-dispatch seconds column (numDispatches()
-     * entries; resident for mem, mapped for columnar — same bits
-     * either way). */
+     * entries, mapped; null when empty). */
     const double *secondsData() const;
 
     /**
@@ -198,24 +173,18 @@ class TraceDatabase
      */
     double measuredSpi() const;
 
-    /** Where this database's bytes live (records, columns, profile
-     * payloads, spill file, this thread's decode cache). */
+    /** Where this database's bytes live (columns, profile payloads,
+     * spill file, this thread's decode cache). */
     TraceDbFootprint memoryFootprint() const;
 
   private:
-    TraceDbBackend kind = TraceDbBackend::Mem;
     uint64_t count = 0;
     uint64_t instrTotal = 0;
     double secondsTotal = 0.0;
     uint64_t syncEpochs = 0;
     double spiCached = 0.0; //!< secondsTotal / instrTotal at build
 
-    // Mem backend: the fully-resident oracle.
-    std::vector<DispatchRecord> records;
-    std::vector<uint64_t> instrPrefix; //!< numDispatches + 1 entries
-    std::vector<double> secondsCol;    //!< per-dispatch seconds
-
-    // Columnar backend: the mapped spill (null for mem / empty).
+    /** The mapped spill (null when empty). */
     std::shared_ptr<const trace_store::ColumnarStore> store;
 };
 
@@ -238,7 +207,8 @@ class TraceDatabase
  * The prefix accessors mirror the TraceDatabase query API so the
  * incremental interval builder can run against an unsealed prefix.
  * Builders are copyable (cheap relative to a replay) — tests seal
- * copies mid-stream to compare against batch oracles.
+ * copies mid-stream to compare against batch oracles, and check
+ * every sealed accessor against the builder's resident rows.
  */
 class TraceDatabase::Builder
 {
@@ -351,19 +321,12 @@ class TraceDatabase::Builder
                           trace_store::defaultBlockSize) const;
 
     /**
-     * Produce the database for everything appended so far; the
-     * builder keeps streaming. Bitwise identical to build() over the
-     * same prefix on both backends.
+     * Produce the database for everything appended so far, spilled
+     * straight from the resident rows; the builder keeps streaming.
+     * Bitwise identical to build() over the same prefix.
      */
-    TraceDatabase seal(TraceDbBackend backend = defaultTraceDbBackend(),
-                       uint32_t block_size =
-                           trace_store::defaultBlockSize) const &;
-
-    /** Destructive seal (what build() uses): no copy of the joined
-     * records. */
-    TraceDatabase seal(TraceDbBackend backend = defaultTraceDbBackend(),
-                       uint32_t block_size =
-                           trace_store::defaultBlockSize) &&;
+    TraceDatabase
+    seal(uint32_t block_size = trace_store::defaultBlockSize) const;
 
   private:
     std::vector<DispatchRecord> records;

@@ -332,8 +332,7 @@ ColumnarStore::spill(const std::vector<DispatchRecord> &records,
     if (fd < 0) {
         fatal("trace store: cannot create spill file '", path,
               "': ", std::strerror(errno),
-              " (set GT_TRACEDB_DIR to a writable directory or "
-              "GT_TRACEDB=mem)");
+              " (set GT_TRACEDB_DIR to a writable directory)");
     }
     size_t written = 0;
     while (written < file.size()) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * The on-disk compressed columnar backend behind TraceDatabase.
+ * The on-disk compressed columnar store behind TraceDatabase.
  *
  * The paper's workflow collects profiles once and re-queries them
  * many times — interval building, the 30-configuration exploration,
@@ -27,8 +27,8 @@
  * decoded-block cache (thread_local, so a fully built store stays
  * shareable across scheduler tasks with no locks — the same
  * "fully built => const" contract trace_db.hh documents). Every
- * accessor returns values bitwise identical to the in-memory
- * oracle: integers round-trip exactly through varints, doubles are
+ * accessor returns values bitwise identical to the builder rows it
+ * was spilled from: integers round-trip exactly through varints, doubles are
  * stored raw, and strings round-trip through the name table.
  *
  * The file begins with a versioned magic header that records the
@@ -129,7 +129,7 @@ class ColumnarStore
     uint64_t syncEpoch(uint64_t i) const;
 
     /** Instructions of all dispatches before @p i (i in [0,
-     * count]); equals the in-memory backend's instrPrefix[i]. */
+     * count]); equals the builder's instrPrefix[i]. */
     uint64_t instrPrefixAt(uint64_t i) const;
 
     /** Decode (or fetch from the calling thread's cache) dispatch

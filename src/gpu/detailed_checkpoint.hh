@@ -7,7 +7,7 @@
  * representative thread's basic-block trace, the Fast-mode profile
  * facts (thread count, dynamic instructions), and the derived
  * truncation scaling. It is produced once per distinct dispatch by
- * the executor's checkpoint() hook — a Fast-mode (uops backend) run
+ * the executor's checkpoint() hook — a Fast-mode run
  * plus one control-slice trace walk — and is then valid for *every*
  * design point, frequency, and latency setting, because none of its
  * fields depend on machine parameters. This is what lets a

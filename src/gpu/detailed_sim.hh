@@ -32,12 +32,10 @@
  * homogeneity makes the replay *cell* the parallel partition grain:
  * every EU/sub-slice of a cell computes identical cycles, so
  * partitioning cells across workers covers the machine's EUs with no
- * redundant work. Backend selection follows the
- * GT_INTERP/GT_FEATURES/GT_MEMTRACE/GT_KMEANS pattern:
- * GT_DETAILED=serial|parallel (default parallel; the serial path is
- * the bitwise oracle — cells are pure functions of their checkpoint
- * and design point, and aggregation order is fixed, so results are
- * identical at any thread count).
+ * redundant work. Cells are pure functions of their checkpoint and
+ * design point and aggregation order is fixed, so results are
+ * bitwise identical at any pool width; a width-1 pool is the serial
+ * oracle the tests compare wider pools against.
  */
 
 #ifndef GT_GPU_DETAILED_SIM_HH
@@ -68,9 +66,6 @@ struct DetailedResult
 class DetailedSimulator
 {
   public:
-    /** Machine-layer execution strategy for simulateBatch(). */
-    enum class Backend { Serial, Parallel };
-
     /**
      * @param config   design point to simulate
      * @param freq_mhz clock (0 = the design's maximum)
@@ -92,31 +87,18 @@ class DetailedSimulator
     DetailedResult simulate(const DetailedCheckpoint &cp) const;
 
     /**
-     * Simulate a batch of independent replay cells. Serial backend:
-     * one cell at a time, in index order, on the calling thread —
-     * the bitwise oracle. Parallel backend: cells partition across
-     * @p pool (null = the process-wide pool) with per-index result
-     * slots, so the outcome is bitwise identical to serial at any
-     * thread count. Null cells yield default-constructed results.
+     * Simulate a batch of independent replay cells, partitioned
+     * across @p pool (null = the process-wide pool) with per-index
+     * result slots, so the outcome is bitwise identical at any pool
+     * width. Null cells yield default-constructed results.
      */
     std::vector<DetailedResult>
     simulateBatch(const std::vector<const DetailedCheckpoint *> &cells,
-                  Backend backend = defaultBackend(),
                   sched::ThreadPool *pool = nullptr) const;
 
     /** Dependent-use latencies per opcode class, in cycles. */
     void setAluLatency(double cycles) { aluLatency = cycles; }
     void setMathLatency(double cycles) { mathLatency = cycles; }
-
-    /**
-     * Process-wide default: GT_DETAILED=serial|parallel, else
-     * Parallel. An unrecognized value is a fatal() configuration
-     * error, not a silent default.
-     */
-    static Backend defaultBackend();
-
-    /** @return "serial" or "parallel". */
-    static const char *backendName(Backend b);
 
   private:
     const DeviceConfig config;

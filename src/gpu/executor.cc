@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "gpu/detailed_checkpoint.hh"
+#include "isa/lane_ops.hh"
 
 namespace gt::gpu
 {
@@ -24,6 +22,7 @@ using isa::Opcode;
 using isa::Operand;
 using isa::Uop;
 using isa::UopProgram;
+using namespace isa::lane;
 
 namespace
 {
@@ -33,105 +32,6 @@ constexpr uint64_t localMemBytes = 16 * 1024;
 
 /** Maximum subroutine call depth. */
 constexpr size_t maxCallDepth = 64;
-
-inline float
-asFloat(uint32_t bits)
-{
-    return std::bit_cast<float>(bits);
-}
-
-inline uint32_t
-asBits(float value)
-{
-    return std::bit_cast<uint32_t>(value);
-}
-
-// Scalar semantics shared by the switch and uop backends. Both
-// backends funnel every float operation through the same function so
-// the compiler makes identical instruction-selection choices (fused
-// multiply-add contraction in particular) and results stay bitwise
-// equal between backends.
-
-inline uint32_t
-fAddBits(uint32_t a, uint32_t b)
-{
-    return asBits(asFloat(a) + asFloat(b));
-}
-
-inline uint32_t
-fMulBits(uint32_t a, uint32_t b)
-{
-    return asBits(asFloat(a) * asFloat(b));
-}
-
-inline uint32_t
-fMadBits(uint32_t a, uint32_t b, uint32_t c)
-{
-    return asBits(asFloat(a) * asFloat(b) + asFloat(c));
-}
-
-inline uint32_t
-fDivBits(uint32_t a, uint32_t b)
-{
-    return asBits(asFloat(a) / asFloat(b));
-}
-
-inline uint32_t
-frcBits(uint32_t a)
-{
-    float v = asFloat(a);
-    return asBits(v - std::floor(v));
-}
-
-inline uint32_t
-sqrtBits(uint32_t a)
-{
-    return asBits(std::sqrt(asFloat(a)));
-}
-
-inline uint32_t
-rsqrtBits(uint32_t a)
-{
-    return asBits(1.0f / std::sqrt(asFloat(a)));
-}
-
-inline uint32_t
-sinBits(uint32_t a)
-{
-    return asBits(std::sin(asFloat(a)));
-}
-
-inline uint32_t
-cosBits(uint32_t a)
-{
-    return asBits(std::cos(asFloat(a)));
-}
-
-inline uint32_t
-exp2Bits(uint32_t a)
-{
-    return asBits(std::exp2(asFloat(a)));
-}
-
-inline uint32_t
-log2Bits(uint32_t a)
-{
-    float v = asFloat(a);
-    return asBits(v > 0.0f ? std::log2(v) : 0.0f);
-}
-
-inline float
-dp4Step(float acc, uint32_t a, uint32_t b)
-{
-    return acc + asFloat(a) * asFloat(b);
-}
-
-inline uint32_t
-lrpBits(uint32_t t, uint32_t a, uint32_t b)
-{
-    float tf = asFloat(t);
-    return asBits(tf * asFloat(a) + (1.0f - tf) * asFloat(b));
-}
 
 } // anonymous namespace
 
@@ -200,7 +100,7 @@ struct GangMemRec
  * Interpreter state threaded through uop handlers. Holds raw views
  * into the ThreadCtx plus the control-transfer cell: `next` starts at
  * the superblock's defaultNext and transfer uops overwrite it
- * (last write wins, like the reference backend's next_pc).
+ * (last write wins, like the reference interpreter's next_pc).
  */
 struct UopSt
 {
@@ -209,7 +109,6 @@ struct UopSt
     uint8_t *local;
     std::vector<uint32_t> *callStack;
     DeviceMemory *memory;
-    const MemAccessFn *memAccess;
     MemTraceSink *memSink;
     /** When set (scalar continuation of a retired gang slot), trace
      * records append here instead of memSink so the gang can drain
@@ -250,7 +149,7 @@ using UopTable = std::array<UopFn, isa::numUopKinds>;
 extern const UopTable uopTables[2];
 
 /** Read a source field: an immediate baked at decode, or a register
- * lane. The imm/reg switch the reference backend pays per lane is a
+ * lane. The imm/reg switch the reference interpreter pays per lane is a
  * compile-time branch here. */
 template <bool Imm>
 inline uint32_t
@@ -338,7 +237,7 @@ uopTernary(const Uop *up, UopSt &st)
 }
 
 // Scalar functors. Integer ops are written out; float ops reuse the
-// shared helpers above (bitwise parity with the switch backend).
+// shared helpers above (bitwise parity with the reference).
 struct OpMov { static uint32_t apply(uint32_t a) { return a; } };
 struct OpNot { static uint32_t apply(uint32_t a) { return ~a; } };
 struct OpFrc { static uint32_t apply(uint32_t a) { return frcBits(a); } };
@@ -501,16 +400,13 @@ uopSend(const Uop *up, UopSt &st)
             } else {
                 st.regs[u.dst][l] = st.memory->read32(addr);
             }
-            // Trace delivery: batched SoA append (hot default), the
-            // per-slot gang record buffer, or the per-access callback
-            // oracle. Local sends never reach the trace in any mode.
+            // Trace delivery: batched SoA append, or the per-slot gang
+            // record buffer. Local sends never reach the trace.
             if (st.memSink) {
                 st.memSink->append(addr, bytes, IsWrite);
             } else if (st.memVec) {
                 st.memVec->push_back(
                     {addr, bytes | (IsWrite ? 0x80000000u : 0u)});
-            } else if (st.memAccess) {
-                (*st.memAccess)(addr, bytes, IsWrite);
             }
         }
     }
@@ -631,7 +527,7 @@ uopProfTimer(const Uop *up, UopSt &st)
     return chainNext<C>(up, st);
 }
 
-// Trap handlers reproduce the reference backend's panics, firing only
+// Trap handlers reproduce the reference interpreter's panics, firing only
 // when a malformed instruction is actually executed.
 const Uop *
 uopDoTrapAbsent(const Uop *, UopSt &st)
@@ -796,7 +692,7 @@ buildTable()
 const UopTable uopTables[2] = {buildTable<false>(), buildTable<true>()};
 
 /*
- * Gang-lockstep execution (GT_EXEC=gang, Full-mode explicit threads).
+ * Gang-lockstep execution (Full-mode explicit threads).
  *
  * Up to gangSize threads (slots) share one SoA context: register r of
  * slot s lane l lives at gangRegs[r][s * maxSimdWidth + l], so every
@@ -1056,7 +952,7 @@ gangSend(const Uop *up, GangSt &st)
     // covers the whole gang and the data loop runs unchecked (and
     // vectorized) over raw memory. Any retired slot (garbage lane
     // addresses) or a failed bound falls back to the per-lane checked
-    // path, which reproduces the scalar backend's range panics.
+    // path, which reproduces the scalar handlers' range panics.
     bool fast_done = false;
     if (st.activeMask == 0xff && offset >= 0) {
         uint32_t or_acc = 0;
@@ -1430,68 +1326,11 @@ struct Executor::GangCtx
 };
 
 Executor::Executor(const DeviceConfig &config_, DeviceMemory &memory_)
-    : config(config_), memory(memory_), backendSel(defaultBackend()),
-      execSel(defaultExecMode())
+    : config(config_), memory(memory_)
 {
 }
 
 Executor::~Executor() = default;
-
-Executor::Backend
-Executor::defaultBackend()
-{
-    static const Backend selected = [] {
-        Backend b = Backend::Uops;
-        if (const char *env = std::getenv("GT_INTERP");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "switch") {
-                b = Backend::Switch;
-            } else if (value != "uops") {
-                warn("ignoring invalid GT_INTERP value '", value,
-                     "' (expected 'switch' or 'uops')");
-            }
-        }
-        inform("executor: ", backendName(b), " interpreter backend "
-               "(override with GT_INTERP=switch|uops)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-Executor::backendName(Backend b)
-{
-    return b == Backend::Switch ? "switch" : "uops";
-}
-
-Executor::ExecMode
-Executor::defaultExecMode()
-{
-    static const ExecMode selected = [] {
-        ExecMode m = ExecMode::Gang;
-        if (const char *env = std::getenv("GT_EXEC");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "scalar") {
-                m = ExecMode::Scalar;
-            } else if (value != "gang") {
-                fatal("invalid GT_EXEC value '", value,
-                      "' (expected 'scalar' or 'gang')");
-            }
-        }
-        inform("executor: ", execModeName(m), " execution mode "
-               "(override with GT_EXEC=scalar|gang)");
-        return m;
-    }();
-    return selected;
-}
-
-const char *
-Executor::execModeName(ExecMode m)
-{
-    return m == ExecMode::Scalar ? "scalar" : "gang";
-}
 
 void
 Executor::setSharedPlanCache(SharedPlanCache *cache)
@@ -1505,7 +1344,7 @@ Executor::setSharedPlanCache(SharedPlanCache *cache)
 }
 
 ExecPlan
-Executor::buildPlan(const KernelBinary &bin) const
+Executor::buildPlan(const KernelBinary &bin, const DeviceConfig &config)
 {
     ExecPlan p;
     p.numBlocks = bin.blocks.size();
@@ -1514,7 +1353,6 @@ Executor::buildPlan(const KernelBinary &bin) const
     p.prog = isa::decodeUops(bin, p.rel);
     p.blockCycles.resize(bin.blocks.size());
     p.blockInstrs.resize(bin.blocks.size());
-    p.relevantIdx.resize(bin.blocks.size());
     uint16_t max_read = 0;
     bool any_read = false;
     for (const auto &block : bin.blocks) {
@@ -1539,11 +1377,6 @@ Executor::buildPlan(const KernelBinary &bin) const
         }
         p.blockCycles[block.id] = cycles;
         p.blockInstrs[block.id] = block.instrs.size();
-        auto &idx = p.relevantIdx[block.id];
-        for (uint16_t i = 0; i < block.instrs.size(); ++i) {
-            if (p.rel.relevant[block.id][i])
-                idx.push_back(i);
-        }
     }
     p.clearRegs = any_read ? (uint16_t)(max_read + 1) : (uint16_t)0;
     p.memberCycles.resize(p.prog.members.size());
@@ -1578,7 +1411,7 @@ Executor::plan(const KernelBinary *bin)
             shared = nullptr;
     }
     if (!shared) {
-        auto built = std::make_shared<const ExecPlan>(buildPlan(*bin));
+        auto built = std::make_shared<const ExecPlan>(buildPlan(*bin, config));
         shared = sharedPlans
                      ? sharedPlans->insert(hash, std::move(built))
                      : std::shared_ptr<const ExecPlan>(std::move(built));
@@ -1588,18 +1421,6 @@ Executor::plan(const KernelBinary *bin)
     local.generation = bin->generation;
     local.plan = std::move(shared);
     return *plans.emplace(bin, std::move(local)).first->second.plan;
-}
-
-const isa::Relevance &
-Executor::relevance(const KernelBinary *bin)
-{
-    return plan(bin).rel;
-}
-
-const isa::GangSafety &
-Executor::gangSafety(const KernelBinary *bin)
-{
-    return plan(bin).gang;
 }
 
 bool
@@ -1638,11 +1459,9 @@ Executor::gangDispatchSafe(const Dispatch &dispatch, const Plan &p) const
 
 ExecProfile
 Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
-              const MemAccessFn &mem_access, const MemBatchFn &mem_batch)
+              const MemBatchFn &mem_batch)
 {
     GT_ASSERT(dispatch.binary, "dispatch without binary");
-    GT_ASSERT(!(mem_access && mem_batch),
-              "per-access and batched trace delivery are exclusive");
     GT_ASSERT(dispatch.globalSize > 0, "dispatch with empty ND-range");
     GT_ASSERT(dispatch.simdWidth == 8 || dispatch.simdWidth == 16,
               "dispatch SIMD width must be 8 or 16");
@@ -1655,7 +1474,7 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     const Plan &p = plan(&bin);
 
     bool fast = mode == Mode::Fast;
-    if (fast && (p.rel.needsFullExec || mem_access || mem_batch))
+    if (fast && (p.rel.needsFullExec || mem_batch))
         fast = false;
 
     uint64_t num_threads = dispatch.numThreads();
@@ -1671,9 +1490,7 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
         ctxBuf = std::make_unique<ThreadCtx>();
     ThreadCtx &ctx = *ctxBuf;
 
-    const bool uops = backendSel == Backend::Uops;
-    scratchCounts.assign(
-        uops ? p.prog.supers.size() : bin.blocks.size(), 0);
+    scratchCounts.assign(p.prog.supers.size(), 0);
     scratchDeltas.assign(trace_deltas.size(), 0);
     dirtyCounts.clear();
     dirtyDeltas.clear();
@@ -1688,23 +1505,16 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     // profile and re-zero them, walking only the entries the run
     // dirtied — O(blocks entered), not O(kernel size) per thread.
     auto flush_scratch = [&](uint64_t weight) {
-        if (uops) {
-            // One count per superblock entry; expand over members to
-            // recover exact per-block counts.
-            for (uint32_t s : dirtyCounts) {
-                uint64_t c = scratchCounts[s];
-                const auto &sb = p.prog.supers[s];
-                for (uint32_t j = 0; j < sb.memberCount; ++j) {
-                    uint32_t b = p.prog.members[sb.memberBegin + j];
-                    profile.blockCounts[b] += c * weight;
-                }
-                scratchCounts[s] = 0;
+        // One count per superblock entry; expand over members to
+        // recover exact per-block counts.
+        for (uint32_t s : dirtyCounts) {
+            uint64_t c = scratchCounts[s];
+            const auto &sb = p.prog.supers[s];
+            for (uint32_t j = 0; j < sb.memberCount; ++j) {
+                uint32_t b = p.prog.members[sb.memberBegin + j];
+                profile.blockCounts[b] += c * weight;
             }
-        } else {
-            for (uint32_t b : dirtyCounts) {
-                profile.blockCounts[b] += scratchCounts[b] * weight;
-                scratchCounts[b] = 0;
-            }
+            scratchCounts[s] = 0;
         }
         dirtyCounts.clear();
         for (uint32_t s : dirtyDeltas) {
@@ -1715,26 +1525,16 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     };
 
     auto run_scaled = [&](uint64_t thread_idx, uint64_t weight) {
-        double cycles = uops
-            ? runThreadUops(dispatch, thread_idx, fast, p, ctx,
-                            scratchCounts, dirtyCounts,
-                            scratchDeltas, dirtyDeltas, mem_access,
-                            sink)
-            : runThread(dispatch, thread_idx, fast, p, ctx,
-                        scratchCounts, dirtyCounts,
-                        scratchDeltas, dirtyDeltas, mem_access,
-                        sink);
+        double cycles = runThreadUops(dispatch, thread_idx, fast, p, ctx,
+                                      scratchCounts, dirtyCounts,
+                                      scratchDeltas, dirtyDeltas, sink);
         flush_scratch(weight);
         profile.threadCycles += cycles * (double)weight;
     };
 
-    // Gang execution covers Full-mode explicit threads on the uop
-    // backend when the plan's gang-safety verdict holds for this
-    // dispatch's arguments. The per-access callback needs accesses
-    // delivered in real time, which the deferred per-slot drain
-    // cannot honor, so it pins scalar execution.
-    const bool gang_ok = uops && !fast && !mem_access &&
-        execSel == ExecMode::Gang && gangDispatchSafe(dispatch, p);
+    // Gang execution covers Full-mode explicit threads when the
+    // plan's gang-safety verdict holds for this dispatch's arguments.
+    const bool gang_ok = !fast && gangDispatchSafe(dispatch, p);
     lastGanged = false;
 
     if (fast && !p.rel.threadDependent) {
@@ -1802,10 +1602,7 @@ Executor::blockTrace(const Dispatch &dispatch, uint64_t thread_idx,
     bool fast = !p.rel.needsFullExec;
     if (!ctxBuf)
         ctxBuf = std::make_unique<ThreadCtx>();
-    const bool uops = backendSel == Backend::Uops;
-    std::vector<uint64_t> counts(
-        uops ? p.prog.supers.size() : dispatch.binary->blocks.size(),
-        0);
+    std::vector<uint64_t> counts(p.prog.supers.size(), 0);
     // Size a scratch delta vector so instrumented binaries can also
     // be traced (their prof ops still execute).
     uint32_t max_slot = 0;
@@ -1818,15 +1615,9 @@ Executor::blockTrace(const Dispatch &dispatch, uint64_t thread_idx,
     std::vector<uint64_t> deltas(max_slot, 0);
     std::vector<uint32_t> dirty_counts, dirty_deltas;
     std::vector<uint32_t> trace;
-    if (uops) {
-        runThreadUops(dispatch, thread_idx, fast, p, *ctxBuf, counts,
-                      dirty_counts, deltas, dirty_deltas, {}, nullptr,
-                      &trace, max_len);
-    } else {
-        runThread(dispatch, thread_idx, fast, p, *ctxBuf, counts,
-                  dirty_counts, deltas, dirty_deltas, {}, nullptr,
-                  &trace, max_len);
-    }
+    runThreadUops(dispatch, thread_idx, fast, p, *ctxBuf, counts,
+                  dirty_counts, deltas, dirty_deltas, nullptr, &trace,
+                  max_len);
     return trace;
 }
 
@@ -1867,7 +1658,6 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
                         std::vector<uint32_t> &dirty_counts,
                         std::vector<uint64_t> &trace_deltas,
                         std::vector<uint32_t> &dirty_deltas,
-                        const MemAccessFn &mem_access,
                         MemTraceSink *mem_sink,
                         std::vector<uint32_t> *block_trace,
                         uint64_t trace_max_len)
@@ -1882,7 +1672,6 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
     st.local = ctx.local.data();
     st.callStack = &ctx.callStack;
     st.memory = &memory;
-    st.memAccess = mem_access ? &mem_access : nullptr;
     st.memSink = mem_sink;
     st.memVec = nullptr;
     st.deltas = trace_deltas.data();
@@ -1899,7 +1688,7 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
     if (block_trace) {
         // Trace path: step member by member so the recorded block
         // sequence and its truncation point match the reference
-        // backend exactly.
+        // interpreter exactly.
         const Uop *stream =
             fast ? prog.fastUops.data() : prog.uops.data();
         const uint32_t *member_end = fast
@@ -1956,7 +1745,7 @@ Executor::uopRun(const Dispatch &dispatch, uint64_t thread_idx,
         if (sb_counts[cur]++ == 0)
             dirty_counts.push_back(cur);
         // Accrue cycles member by member: issue cycles are doubles
-        // and the reference backend adds them one block at a time, so
+        // and the reference interpreter adds them one block at a time, so
         // a presummed superblock total could round differently.
         const double *mc = p.memberCycles.data() + sb.memberBegin;
         for (uint32_t j = 0; j < sb.memberCount; ++j)
@@ -2078,7 +1867,6 @@ Executor::runGang(const Dispatch &dispatch, uint64_t first_thread,
         sst.local = ctx.local.data();
         sst.callStack = &ctx.callStack;
         sst.memory = &memory;
-        sst.memAccess = nullptr;
         sst.memSink = nullptr;
         sst.memVec = st.traceRecs ? &g.memRecs[s] : nullptr;
         sst.deltas = trace_deltas.data();
@@ -2193,375 +1981,6 @@ Executor::runGang(const Dispatch &dispatch, uint64_t first_thread,
             }
         }
     }
-}
-
-double
-Executor::runThread(const Dispatch &dispatch, uint64_t thread_idx,
-                    bool fast, const Plan &p, ThreadCtx &ctx,
-                    std::vector<uint64_t> &block_counts,
-                    std::vector<uint32_t> &dirty_counts,
-                    std::vector<uint64_t> &trace_deltas,
-                    std::vector<uint32_t> &dirty_deltas,
-                    const MemAccessFn &mem_access,
-                    MemTraceSink *mem_sink,
-                    std::vector<uint32_t> *block_trace,
-                    uint64_t trace_max_len)
-{
-    const KernelBinary &bin = *dispatch.binary;
-    ctx.reset(dispatch, thread_idx, p.clearRegs, p.usesLocal);
-
-    auto read_lane = [&](const Operand &opnd, int lane) -> uint32_t {
-        switch (opnd.kind) {
-          case Operand::Kind::Imm:
-            return opnd.imm;
-          case Operand::Kind::Reg:
-            return ctx.regs[opnd.reg][lane];
-          default:
-            panic(bin.name, ": read of absent operand");
-        }
-    };
-
-    auto prof_accum = [&](const Instruction &ins, uint64_t delta) {
-        GT_ASSERT(!trace_deltas.empty(),
-                  bin.name, ": instrumented binary executed without "
-                  "a trace buffer");
-        GT_ASSERT(ins.profSlot < trace_deltas.size(),
-                  bin.name, ": trace slot out of range");
-        uint64_t &slot = trace_deltas[ins.profSlot];
-        if (slot == 0 && delta != 0)
-            dirty_deltas.push_back(ins.profSlot);
-        slot += delta;
-    };
-
-    uint32_t pc = 0;
-    bool running = true;
-    while (running) {
-        const isa::BasicBlock &block = bin.blocks[pc];
-        if (block_trace) {
-            if (block_trace->size() >= trace_max_len)
-                break;
-            block_trace->push_back(pc);
-        }
-        if (block_counts[pc]++ == 0)
-            dirty_counts.push_back(pc);
-        ctx.issueCycles += p.blockCycles[pc];
-        ctx.instrsExecuted += p.blockInstrs[pc];
-        if (ctx.instrsExecuted > threadInstrLimit) {
-            panic(bin.name, ": thread ", thread_idx, " exceeded the ",
-                  threadInstrLimit, "-instruction runaway limit");
-        }
-
-        uint32_t next_pc = pc + 1;
-        bool terminated = false;
-
-        auto exec = [&](const Instruction &ins) {
-            int width = ins.simdWidth;
-            switch (ins.op) {
-              case Opcode::Mov:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] = read_lane(ins.src0, l);
-                break;
-              case Opcode::Sel:
-                for (int l = 0; l < width; ++l) {
-                    ctx.regs[ins.dst][l] = ctx.flags[ins.flag][l]
-                        ? read_lane(ins.src0, l)
-                        : read_lane(ins.src1, l);
-                }
-                break;
-              case Opcode::And:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) & read_lane(ins.src1, l);
-                break;
-              case Opcode::Or:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) | read_lane(ins.src1, l);
-                break;
-              case Opcode::Xor:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) ^ read_lane(ins.src1, l);
-                break;
-              case Opcode::Not:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] = ~read_lane(ins.src0, l);
-                break;
-              case Opcode::Shl:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] = read_lane(ins.src0, l)
-                        << (read_lane(ins.src1, l) & 31);
-                break;
-              case Opcode::Shr:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] = read_lane(ins.src0, l) >>
-                        (read_lane(ins.src1, l) & 31);
-                break;
-              case Opcode::Asr:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] = (uint32_t)(
-                        (int32_t)read_lane(ins.src0, l) >>
-                        (read_lane(ins.src1, l) & 31));
-                break;
-              case Opcode::Cmp:
-                for (int l = 0; l < width; ++l) {
-                    ctx.flags[ins.flag][l] =
-                        isa::evalCmp(ins.cmpOp, read_lane(ins.src0, l),
-                                     read_lane(ins.src1, l));
-                }
-                break;
-              case Opcode::Add:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) + read_lane(ins.src1, l);
-                break;
-              case Opcode::Sub:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) - read_lane(ins.src1, l);
-                break;
-              case Opcode::Mul:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) * read_lane(ins.src1, l);
-                break;
-              case Opcode::Mad:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        read_lane(ins.src0, l) * read_lane(ins.src1, l)
-                        + read_lane(ins.src2, l);
-                break;
-              case Opcode::Min:
-                for (int l = 0; l < width; ++l) {
-                    int32_t a = (int32_t)read_lane(ins.src0, l);
-                    int32_t b = (int32_t)read_lane(ins.src1, l);
-                    ctx.regs[ins.dst][l] = (uint32_t)(a < b ? a : b);
-                }
-                break;
-              case Opcode::Max:
-                for (int l = 0; l < width; ++l) {
-                    int32_t a = (int32_t)read_lane(ins.src0, l);
-                    int32_t b = (int32_t)read_lane(ins.src1, l);
-                    ctx.regs[ins.dst][l] = (uint32_t)(a > b ? a : b);
-                }
-                break;
-              case Opcode::Avg:
-                for (int l = 0; l < width; ++l) {
-                    uint64_t a = read_lane(ins.src0, l);
-                    uint64_t b = read_lane(ins.src1, l);
-                    ctx.regs[ins.dst][l] = (uint32_t)((a + b + 1) >> 1);
-                }
-                break;
-              case Opcode::FAdd:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        fAddBits(read_lane(ins.src0, l),
-                                 read_lane(ins.src1, l));
-                break;
-              case Opcode::FMul:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        fMulBits(read_lane(ins.src0, l),
-                                 read_lane(ins.src1, l));
-                break;
-              case Opcode::FMad:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        fMadBits(read_lane(ins.src0, l),
-                                 read_lane(ins.src1, l),
-                                 read_lane(ins.src2, l));
-                break;
-              case Opcode::FDiv:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        fDivBits(read_lane(ins.src0, l),
-                                 read_lane(ins.src1, l));
-                break;
-              case Opcode::Frc:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        frcBits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Sqrt:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        sqrtBits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Rsqrt:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        rsqrtBits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Sin:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        sinBits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Cos:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        cosBits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Exp:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        exp2Bits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Log:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        log2Bits(read_lane(ins.src0, l));
-                break;
-              case Opcode::Dp4:
-                for (int l = 0; l < width; ++l) {
-                    int base = l & ~3;
-                    float acc = 0.0f;
-                    for (int k = 0; k < 4; ++k) {
-                        acc = dp4Step(acc,
-                                      read_lane(ins.src0, base + k),
-                                      read_lane(ins.src1, base + k));
-                    }
-                    ctx.regs[ins.dst][l] = asBits(acc);
-                }
-                break;
-              case Opcode::Lrp:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        lrpBits(read_lane(ins.src0, l),
-                                read_lane(ins.src1, l),
-                                read_lane(ins.src2, l));
-                break;
-              case Opcode::Pln:
-                for (int l = 0; l < width; ++l)
-                    ctx.regs[ins.dst][l] =
-                        fMadBits(read_lane(ins.src0, l),
-                                 read_lane(ins.src1, l),
-                                 read_lane(ins.src2, l));
-                break;
-              case Opcode::Send: {
-                bool is_local = ins.send.space == AddrSpace::Local;
-                for (int l = 0; l < width; ++l) {
-                    uint64_t addr =
-                        (uint64_t)ctx.regs[ins.send.addrReg][l] +
-                        (int64_t)ins.send.offset;
-                    if (is_local) {
-                        uint64_t off = addr % (localMemBytes - 4);
-                        if (ins.send.isWrite) {
-                            uint32_t v = read_lane(ins.src0, l);
-                            std::memcpy(ctx.local.data() + off, &v, 4);
-                        } else {
-                            uint32_t v;
-                            std::memcpy(&v, ctx.local.data() + off, 4);
-                            ctx.regs[ins.dst][l] = v;
-                        }
-                        continue;
-                    }
-                    if (ins.send.isWrite) {
-                        uint32_t v = read_lane(ins.src0, l);
-                        for (int b = 0; b < ins.send.bytesPerLane;
-                             b += 4) {
-                            memory.write32(addr + (uint64_t)b, v);
-                        }
-                    } else {
-                        ctx.regs[ins.dst][l] = memory.read32(addr);
-                    }
-                    if (mem_sink) {
-                        mem_sink->append(addr, ins.send.bytesPerLane,
-                                         ins.send.isWrite);
-                    } else if (mem_access) {
-                        mem_access(addr, ins.send.bytesPerLane,
-                                   ins.send.isWrite);
-                    }
-                }
-                break;
-              }
-              case Opcode::Jmpi:
-                next_pc = (uint32_t)ins.target;
-                break;
-              case Opcode::Brc:
-              case Opcode::Brnc: {
-                bool cond;
-                switch (ins.flagMode) {
-                  case FlagMode::Lane0:
-                    cond = ctx.flags[ins.flag][0];
-                    break;
-                  case FlagMode::Any: {
-                    cond = false;
-                    for (int l = 0; l < width; ++l)
-                        cond = cond || ctx.flags[ins.flag][l];
-                    break;
-                  }
-                  case FlagMode::All: {
-                    cond = true;
-                    for (int l = 0; l < width; ++l)
-                        cond = cond && ctx.flags[ins.flag][l];
-                    break;
-                  }
-                  default:
-                    panic("invalid flag mode");
-                }
-                if (ins.op == Opcode::Brnc)
-                    cond = !cond;
-                if (cond)
-                    next_pc = (uint32_t)ins.target;
-                break;
-              }
-              case Opcode::Call:
-                GT_ASSERT(ctx.callStack.size() < maxCallDepth,
-                          bin.name, ": call stack overflow");
-                ctx.callStack.push_back(pc + 1);
-                next_pc = (uint32_t)ins.target;
-                break;
-              case Opcode::Ret:
-                GT_ASSERT(!ctx.callStack.empty(),
-                          bin.name, ": ret with empty call stack");
-                next_pc = ctx.callStack.back();
-                ctx.callStack.pop_back();
-                break;
-              case Opcode::Halt:
-                terminated = true;
-                break;
-              case Opcode::ProfCount:
-              case Opcode::ProfMem:
-                prof_accum(ins, ins.profArg);
-                break;
-              case Opcode::ProfAdd:
-                prof_accum(ins, read_lane(ins.src0, 0));
-                break;
-              case Opcode::ProfTimer: {
-                double now = ctx.issueCycles;
-                prof_accum(ins, (uint64_t)(now - ctx.lastTimer));
-                ctx.lastTimer = now;
-                break;
-              }
-              default:
-                panic(bin.name, ": unimplemented opcode ",
-                      isa::opcodeName(ins.op));
-            }
-        };
-
-        if (fast) {
-            for (uint16_t i : p.relevantIdx[pc]) {
-                exec(block.instrs[i]);
-                if (terminated)
-                    break;
-            }
-        } else {
-            for (const auto &ins : block.instrs) {
-                exec(ins);
-                if (terminated)
-                    break;
-            }
-        }
-
-        if (terminated)
-            break;
-        GT_ASSERT(next_pc < bin.blocks.size(),
-                  bin.name, ": fell off the end of the kernel");
-        pc = next_pc;
-    }
-
-    return ctx.issueCycles;
 }
 
 } // namespace gt::gpu

@@ -6,8 +6,8 @@
  * covering simdWidth work items. Two modes are offered:
  *
  *  - Full: every instruction of every thread is evaluated, including
- *    memory contents. Required for cache simulation (per-access
- *    callbacks) and used by the semantic unit tests.
+ *    memory contents. Required for cache simulation (memory traces)
+ *    and used by the semantic unit tests.
  *  - Fast: only control-relevant instructions (see isa/slice.hh) are
  *    evaluated; everything else is counted at basic-block grain. When
  *    a kernel's control flow is thread-invariant, one representative
@@ -15,39 +15,32 @@
  *    makes profiling applications with paper-scale dynamic
  *    instruction counts (10^11+) tractable.
  *
- * Orthogonally to the mode, two interpreter *backends* implement both
- * modes (selectable with GT_INTERP=switch|uops, default uops):
- *
- *  - Uops (default): binaries are predecoded at plan time into
- *    operand-shape-specialized micro-ops chained into superblocks
- *    (see isa/uop.hh) and dispatched through a flat function table.
- *  - Switch: the original per-instruction opcode-switch interpreter,
- *    kept as the reference the uop backend is differentially tested
- *    against — both backends produce bitwise-identical profiles,
- *    trace deltas, and block traces.
+ * Binaries are predecoded at plan time into operand-shape-specialized
+ * micro-ops chained into superblocks (see isa/uop.hh) and dispatched
+ * through a flat function table.
  *
  * Instrumentation pseudo-instructions injected by the GT-Pin rewriter
  * execute in both modes, accumulating into the TraceBuffer, so
  * profiles are produced identically regardless of mode.
  *
- * Independently of the backend, the uop interpreter offers a gang
- * *execution mode* (GT_EXEC=scalar|gang, default gang): when Full
- * mode runs threads explicitly, up to gangSize threads are reset into
- * one structure-of-arrays context and driven through the shared uop
- * stream in lockstep, so each handler invocation is a single
- * vectorizable loop over all gang lanes instead of one short loop per
- * thread. Threads whose control flow leaves the gang's consensus
- * superblock retire and finish on the scalar path; kernels whose
- * stores the plan-time gang-safety proof (isa::analyzeGangSafety)
- * cannot show to be order-invisible run scalar. Either way every
- * observable — profiles, trace deltas, memory, trace-record order —
- * is bitwise identical to scalar execution.
+ * When Full mode runs at least two threads explicitly and the plan's
+ * gang-safety verdict holds for the dispatch's arguments, up to
+ * gangSize threads are reset into one structure-of-arrays context and
+ * driven through the shared uop stream in lockstep, so each handler
+ * invocation is a single vectorizable loop over all gang lanes
+ * instead of one short loop per thread. Threads whose control flow
+ * leaves the gang's consensus superblock retire and finish on the
+ * scalar path; kernels whose stores the plan-time gang-safety proof
+ * (isa::analyzeGangSafety) cannot show to be order-invisible run
+ * scalar. Either way every observable — profiles, trace deltas,
+ * memory, trace-record order — is bitwise identical to running the
+ * threads one at a time, which the scalar reference interpreter in
+ * tests/reference checks.
  */
 
 #ifndef GT_GPU_EXECUTOR_HH
 #define GT_GPU_EXECUTOR_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -87,24 +80,11 @@ struct Dispatch
     }
 };
 
-/** Per-access callback for cache simulation (Full mode only). */
-using MemAccessFn =
-    std::function<void(uint64_t addr, uint32_t bytes, bool is_write)>;
-
-// The batched alternative (MemBatch/MemBatchFn/MemTraceSink) lives in
-// gpu/memtrace.hh; run() accepts either delivery mode.
-
 /** Interprets dispatches and produces execution profiles. */
 class Executor
 {
   public:
     enum class Mode { Full, Fast };
-
-    /** Interpreter implementation (see the file comment). */
-    enum class Backend { Switch, Uops };
-
-    /** Thread interleaving of Full-mode explicit execution. */
-    enum class ExecMode { Scalar, Gang };
 
     /** Threads ganged into one lockstep SoA context. */
     static constexpr int gangSize = 8;
@@ -117,19 +97,15 @@ class Executor
      *
      * @param mode       Full or Fast (Fast may fall back to Full when
      *                   control flow depends on loaded data)
-     * @param trace      trace buffer for instrumentation ops (may be
-     *                   null when the binary is uninstrumented)
-     * @param mem_access invoked for every memory access; forces Full
-     *                   mode and per-thread execution when set
-     * @param mem_batch  bulk alternative to @p mem_access: accesses
-     *                   are appended to the executor's SoA trace
-     *                   buffer and flushed in fixed-size chunks, in
-     *                   execution order; also forces Full mode. At
-     *                   most one of the two may be set.
+     * @param trace     trace buffer for instrumentation ops (may be
+     *                  null when the binary is uninstrumented)
+     * @param mem_batch memory-trace consumer (gpu/memtrace.hh):
+     *                  accesses are appended to the executor's SoA
+     *                  trace buffer and flushed in fixed-size chunks,
+     *                  in execution order; forces Full mode when set
      */
     ExecProfile run(const Dispatch &dispatch, Mode mode,
                     TraceBuffer *trace = nullptr,
-                    const MemAccessFn &mem_access = {},
                     const MemBatchFn &mem_batch = {});
 
     /**
@@ -151,37 +127,6 @@ class Executor
      * default (MemTraceSink::defaultChunk) suits production use.
      */
     void setMemTraceChunk(size_t records) { memTraceChunk = records; }
-
-    size_t memTraceChunkSize() const { return memTraceChunk; }
-
-    /** Select the interpreter backend (default: defaultBackend()). */
-    void setBackend(Backend b) { backendSel = b; }
-
-    Backend backend() const { return backendSel; }
-
-    /** Process-wide default: GT_INTERP=switch|uops, else Uops. */
-    static Backend defaultBackend();
-
-    /** @return "switch" or "uops". */
-    static const char *backendName(Backend b);
-
-    /** Select the execution mode (default: defaultExecMode()). */
-    void setExecMode(ExecMode m) { execSel = m; }
-
-    ExecMode execMode() const { return execSel; }
-
-    /** Process-wide default: GT_EXEC=scalar|gang (fatal on other
-     * values), else Gang. */
-    static ExecMode defaultExecMode();
-
-    /** @return "scalar" or "gang". */
-    static const char *execModeName(ExecMode m);
-
-    /** Relevance analysis for @p bin, computed once and cached. */
-    const isa::Relevance &relevance(const isa::KernelBinary *bin);
-
-    /** Gang-safety analysis for @p bin, computed once and cached. */
-    const isa::GangSafety &gangSafety(const isa::KernelBinary *bin);
 
     /**
      * Diagnostic: did the most recent run() drive threads through the
@@ -232,6 +177,11 @@ class Executor
 
     SharedPlanCache *sharedPlanCache() const { return sharedPlans; }
 
+    /** Build the full execution plan of @p bin for a device with
+     * @p config's FPU width (pure; does not cache). */
+    static ExecPlan buildPlan(const isa::KernelBinary &bin,
+                              const DeviceConfig &config);
+
   private:
     struct ThreadCtx;
     struct GangCtx;
@@ -250,29 +200,10 @@ class Executor
 
     const Plan &plan(const isa::KernelBinary *bin);
 
-    /** Build the full plan for @p bin (pure; does not cache). */
-    ExecPlan buildPlan(const isa::KernelBinary &bin) const;
-
     /**
-     * Run one hardware thread (switch backend).
-     * @return issue cycles consumed by the thread.
-     */
-    double runThread(const Dispatch &dispatch, uint64_t thread_idx,
-                     bool fast, const Plan &plan, ThreadCtx &ctx,
-                     std::vector<uint64_t> &block_counts,
-                     std::vector<uint32_t> &dirty_counts,
-                     std::vector<uint64_t> &trace_deltas,
-                     std::vector<uint32_t> &dirty_deltas,
-                     const MemAccessFn &mem_access,
-                     MemTraceSink *mem_sink,
-                     std::vector<uint32_t> *block_trace = nullptr,
-                     uint64_t trace_max_len = 0);
-
-    /**
-     * Run one hardware thread (uop backend). @p sb_counts is indexed
-     * by superblock, one increment per superblock entry; the caller
-     * expands entries over superblock members to recover exact
-     * per-block counts.
+     * Run one hardware thread. @p sb_counts is indexed by superblock,
+     * one increment per superblock entry; the caller expands entries
+     * over superblock members to recover exact per-block counts.
      * @return issue cycles consumed by the thread.
      */
     double runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
@@ -281,14 +212,13 @@ class Executor
                          std::vector<uint32_t> &dirty_counts,
                          std::vector<uint64_t> &trace_deltas,
                          std::vector<uint32_t> &dirty_deltas,
-                         const MemAccessFn &mem_access,
                          MemTraceSink *mem_sink,
                          std::vector<uint32_t> *block_trace = nullptr,
                          uint64_t trace_max_len = 0);
 
     /**
-     * Threaded superblock walk of the uop backend starting at
-     * superblock @p cur, with @p ctx / @p st already wired. Shared by
+     * Threaded superblock walk starting at superblock @p cur, with
+     * @p ctx / @p st already wired. Shared by
      * runThreadUops (whole threads) and runGang (scalar continuation
      * of a slot retired from its gang on divergence).
      * @return final issue-cycle count of the thread.
@@ -329,8 +259,6 @@ class Executor
     uint64_t threadInstrLimit = 200'000'000;
     uint64_t maxExplicitThreads = 1024;
     bool lastGanged = false;
-    Backend backendSel;
-    ExecMode execSel;
     std::unordered_map<const isa::KernelBinary *, LocalPlan> plans;
     SharedPlanCache *sharedPlans = nullptr;
 

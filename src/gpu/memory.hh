@@ -44,7 +44,7 @@ class DeviceMemory
 
     // Scalar accessors are inline: they sit on the interpreters'
     // per-lane Send path, where an out-of-line call per access is
-    // measurable against the predecoded backend's dispatch cost.
+    // measurable against the predecoded uops' dispatch cost.
     uint8_t
     read8(uint64_t addr) const
     {

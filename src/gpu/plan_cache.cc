@@ -43,9 +43,6 @@ ExecPlan::memoryBytes() const
              vecBytes(prog.fastUops) + vecBytes(prog.superOf);
     bytes += vecBytes(blockCycles) + vecBytes(memberCycles) +
              vecBytes(blockInstrs);
-    bytes += vecBytes(relevantIdx);
-    for (const auto &row : relevantIdx)
-        bytes += vecBytes(row);
     return bytes;
 }
 

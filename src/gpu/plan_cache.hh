@@ -71,18 +71,16 @@ struct ExecPlan
     uint64_t numInstrs = 0;
 
     isa::Relevance rel;
-    /** Predecoded micro-op program (uop backend). */
+    /** Predecoded micro-op program. */
     isa::UopProgram prog;
     /** Issue cycles per block (application + instrumentation). */
     std::vector<double> blockCycles;
-    /** blockCycles flattened parallel to prog.members, so the uop
-     * backend's per-superblock accrual reads sequentially instead
+    /** blockCycles flattened parallel to prog.members, so the
+     * per-superblock accrual reads sequentially instead
      * of chasing member -> block indirections. */
     std::vector<double> memberCycles;
     /** Total instructions per block (for the runaway limit). */
     std::vector<uint64_t> blockInstrs;
-    /** Indices of instructions evaluated in Fast mode, per block. */
-    std::vector<std::vector<uint16_t>> relevantIdx;
     /** Registers [0, clearRegs) may be read before written; reset
      * zeroes exactly these (0 = the kernel reads no registers). */
     uint16_t clearRegs = 0;

@@ -131,11 +131,4 @@ CacheSimTool::CacheSimTool(uint64_t size_bytes, uint32_t ways,
 {
 }
 
-void
-CacheSimTool::onMemAccess(uint64_t addr, uint32_t bytes,
-                          bool is_write)
-{
-    model.access(addr, bytes, is_write);
-}
-
 } // namespace gt::gtpin

@@ -35,7 +35,8 @@ class CacheModel
 
     /**
      * Access @p bytes starting at @p addr; lines are touched
-     * individually.
+     * individually. The per-access definition accessBatch() must
+     * reproduce — the oracle its tests replay traces through.
      * @return true if every touched line hit.
      */
     bool access(uint64_t addr, uint32_t bytes, bool is_write);
@@ -127,7 +128,6 @@ class CacheSimTool : public GtPinTool
     std::string name() const override { return "cachesim"; }
     bool needsAddresses() const override { return true; }
 
-    /** Native bulk consumer (GT_MEMTRACE=batch). */
     void
     onMemBatch(const gpu::MemBatch &batch) override
     {
@@ -142,9 +142,6 @@ class CacheSimTool : public GtPinTool
         (void)instrumenter;
         // Purely trace-driven: no injected instructions needed.
     }
-
-    void onMemAccess(uint64_t addr, uint32_t bytes,
-                     bool is_write) override;
 
     const CacheModel &cache() const { return model; }
     CacheModel &cache() { return model; }

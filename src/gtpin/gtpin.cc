@@ -1,8 +1,5 @@
 #include "gtpin/gtpin.hh"
 
-#include <cstdlib>
-#include <string>
-
 #include "common/logging.hh"
 
 namespace gt::gtpin
@@ -12,41 +9,6 @@ GtPin::~GtPin()
 {
     if (drv)
         detach();
-}
-
-GtPin::MemTraceMode
-GtPin::defaultMemTraceMode()
-{
-    static const MemTraceMode selected = [] {
-        MemTraceMode m = MemTraceMode::Batch;
-        if (const char *env = std::getenv("GT_MEMTRACE");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "callback") {
-                m = MemTraceMode::Callback;
-            } else if (value != "batch") {
-                warn("ignoring invalid GT_MEMTRACE value '", value,
-                     "' (expected 'callback' or 'batch')");
-            }
-        }
-        inform("gtpin: ", memTraceModeName(m), " memory-trace "
-               "delivery (override with GT_MEMTRACE=callback|batch)");
-        return m;
-    }();
-    return selected;
-}
-
-const char *
-GtPin::memTraceModeName(MemTraceMode m)
-{
-    return m == MemTraceMode::Callback ? "callback" : "batch";
-}
-
-void
-GtPin::setMemTraceMode(MemTraceMode m)
-{
-    GT_ASSERT(!drv, "trace mode must be selected before attach()");
-    traceMode = m;
 }
 
 void
@@ -71,12 +33,7 @@ GtPin::attach(ocl::GpuDriver &driver)
     snapshot = driver.traceBuffer().raw();
 
     inform("GT-Pin attached (", tools.size(), " tool",
-           tools.size() == 1 ? "" : "s", ", ",
-           gpu::Executor::backendName(driver.executor().backend()),
-           " interpreter backend, ",
-           gpu::Executor::execModeName(driver.executor().execMode()),
-           " execution mode, ", memTraceModeName(traceMode),
-           " memory-trace delivery)");
+           tools.size() == 1 ? "" : "s", ")");
 
     // The initialization hook of Fig. 1: allocate the CPU/GPU-shared
     // trace buffer and, if any tool simulates caches from memory
@@ -91,18 +48,10 @@ GtPin::attach(ocl::GpuDriver &driver)
     }
     if (!addrTools.empty()) {
         drv->setExecMode(gpu::Executor::Mode::Full);
-        if (traceMode == MemTraceMode::Batch) {
-            drv->setMemBatchCallback([this](const gpu::MemBatch &b) {
-                for (GtPinTool *tool : addrTools)
-                    tool->onMemBatch(b);
-            });
-        } else {
-            drv->setMemAccessCallback(
-                [this](uint64_t addr, uint32_t bytes, bool is_write) {
-                    for (GtPinTool *tool : addrTools)
-                        tool->onMemAccess(addr, bytes, is_write);
-                });
-        }
+        drv->setMemBatchCallback([this](const gpu::MemBatch &b) {
+            for (GtPinTool *tool : addrTools)
+                tool->onMemBatch(b);
+        });
     }
 }
 
@@ -110,12 +59,10 @@ void
 GtPin::detach()
 {
     GT_ASSERT(drv, "GtPin is not attached");
-    // Drop the trace plumbing: both callbacks capture `this` and must
+    // Drop the trace plumbing: the callback captures `this` and must
     // not outlive the attachment.
-    if (!addrTools.empty()) {
-        drv->setMemAccessCallback(nullptr);
+    if (!addrTools.empty())
         drv->setMemBatchCallback(nullptr);
-    }
     drv->setObserver(nullptr);
     drv = nullptr;
 }

@@ -82,33 +82,14 @@ class GtPinTool
     virtual bool needsAddresses() const { return false; }
 
     /**
-     * Per-access memory trace, delivered only to tools that return
-     * true from needsAddresses().
-     */
-    virtual void
-    onMemAccess(uint64_t addr, uint32_t bytes, bool is_write)
-    {
-        (void)addr;
-        (void)bytes;
-        (void)is_write;
-    }
-
-    /**
-     * Bulk memory trace (GT_MEMTRACE=batch, the default): one call
-     * per flushed SoA chunk, chunks and records in execution order.
-     * The default implementation replays the chunk through
-     * onMemAccess(), so tools written against the per-access hook
-     * work unchanged under either delivery mode; trace-hungry tools
-     * override this for a native bulk consumer (see CacheSimTool).
+     * Memory trace, delivered only to tools that return true from
+     * needsAddresses(): one call per flushed SoA chunk, chunks and
+     * records in execution order (see CacheSimTool).
      */
     virtual void
     onMemBatch(const gpu::MemBatch &batch)
     {
-        for (size_t i = 0; i < batch.count; ++i) {
-            uint32_t meta = batch.metas[i];
-            onMemAccess(batch.addrs[i], gpu::MemBatch::bytes(meta),
-                        gpu::MemBatch::isWrite(meta));
-        }
+        (void)batch;
     }
 };
 
@@ -116,29 +97,11 @@ class GtPinTool
 class GtPin : public ocl::DriverObserver
 {
   public:
-    /** How the memory-access trace reaches address-needing tools. */
-    enum class MemTraceMode
-    {
-        Callback, //!< one onMemAccess call per access (the oracle)
-        Batch,    //!< SoA chunks through onMemBatch (the default)
-    };
-
     GtPin() = default;
     ~GtPin() override;
 
     GtPin(const GtPin &) = delete;
     GtPin &operator=(const GtPin &) = delete;
-
-    /** Process-wide default: GT_MEMTRACE=callback|batch, else Batch. */
-    static MemTraceMode defaultMemTraceMode();
-
-    /** @return "callback" or "batch". */
-    static const char *memTraceModeName(MemTraceMode m);
-
-    /** Override the trace delivery mode; call before attach(). */
-    void setMemTraceMode(MemTraceMode m);
-
-    MemTraceMode memTraceMode() const { return traceMode; }
 
     /**
      * Register @p tool before attaching. The framework keeps a
@@ -172,7 +135,6 @@ class GtPin : public ocl::DriverObserver
     /** Tools needing addresses, filtered once at attach so trace
      * delivery never re-scans the full tool list. */
     std::vector<GtPinTool *> addrTools;
-    MemTraceMode traceMode = defaultMemTraceMode();
     SlotAllocator slots;
     std::vector<uint64_t> snapshot;
     std::vector<uint64_t> deltas;

@@ -64,7 +64,7 @@ Relevance analyzeRelevance(const KernelBinary &bin);
 /**
  * Result of the gang-safety analysis (see analyzeGangSafety).
  *
- * The executor's gang backend interleaves G threads uop by uop, which
+ * The executor's gang path interleaves G threads uop by uop, which
  * reorders memory operations *across* threads (each thread's own
  * program order is preserved). That is invisible unless two threads
  * touch the same global address with at least one store involved, so

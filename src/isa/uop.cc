@@ -116,8 +116,8 @@ struct EdgeScan
 };
 
 /** @return superOf[target], or invalidSuper for out-of-range targets
- * (transferring there reproduces the reference backend's fell-off-
- * the-end panic). */
+ * (transferring there reproduces the reference interpreter's
+ * fell-off-the-end panic). */
 uint32_t
 superAt(const UopProgram &prog, int64_t target)
 {
@@ -400,7 +400,7 @@ decodeUops(const KernelBinary &bin, const Relevance &rel)
 
     // Emission: lower each member into both streams. The fast stream
     // keeps only relevance-sliced instructions, exactly the set the
-    // reference backend's Fast mode evaluates.
+    // reference interpreter's Fast mode evaluates.
     prog.memberUopEnd.resize(prog.members.size());
     prog.memberFastUopEnd.resize(prog.members.size());
     for (uint32_t s = 0; s < prog.supers.size(); ++s) {

@@ -2,12 +2,13 @@
  * @file
  * Predecoded micro-ops (uops) and superblock chaining.
  *
- * The reference interpreter in gpu/executor.cc pays a large opcode
- * switch per instruction and an imm/reg switch per operand *per lane*.
+ * A plain interpreter (such as the reference in tests/reference) pays
+ * a large opcode switch per instruction and an imm/reg switch per
+ * operand *per lane*.
  * This module lowers a KernelBinary once, at plan time, into a dense
  * array of micro-ops whose kind encodes both the opcode and the
  * operand shapes — `Add r3, r4, #7` and `Add r3, r4, r5` decode to
- * different kinds — so the executor's uop backend dispatches through a
+ * different kinds — so the executor dispatches through a
  * flat function table of loops specialized at compile time and the
  * per-lane operand switch disappears entirely.
  *
@@ -27,8 +28,8 @@
  * trace path step one basic block at a time when an exact block
  * sequence is being recorded.
  *
- * Bitwise-equivalence ground rules (the uop backend must reproduce the
- * switch backend's results exactly, including panics):
+ * Bitwise-equivalence ground rules (the executor must reproduce the
+ * reference interpreter's results exactly, including panics):
  *  - a block containing ProfTimer never chains a successor: the timer
  *    reads issue cycles, which must have advanced only up to and
  *    including its own block;
@@ -38,7 +39,7 @@
  *  - uops after a mid-block Halt are not emitted — the reference
  *    interpreter breaks out of the block when a Halt retires;
  *  - malformed instructions (absent operands, bad opcodes/flag modes)
- *    decode to trap uops that panic with the reference backend's
+ *    decode to trap uops that panic with the reference interpreter's
  *    message only if actually executed.
  */
 

@@ -80,7 +80,7 @@ GpuDriver::execute(uint32_t kernel_id, uint64_t global_size,
     result.argsHash = gpu::dispatchArgsHash(args);
 
     result.profile =
-        exec.run(dispatch, execMode, &trace, memAccess, memBatch);
+        exec.run(dispatch, execMode, &trace, memBatch);
     result.time = timing.kernelTime(result.profile);
     busySeconds += result.time.seconds;
 
@@ -132,19 +132,9 @@ GpuDriver::transferSeconds(uint64_t bytes) const
 }
 
 void
-GpuDriver::setMemAccessCallback(gpu::MemAccessFn fn)
-{
-    memAccess = std::move(fn);
-    if (memAccess)
-        memBatch = nullptr;
-}
-
-void
 GpuDriver::setMemBatchCallback(gpu::MemBatchFn fn)
 {
     memBatch = std::move(fn);
-    if (memBatch)
-        memAccess = nullptr;
 }
 
 } // namespace gt::ocl

@@ -66,8 +66,16 @@ TaskGraph::run(ThreadPool &pool)
     // releases or cancels its successors. Cancellation cascades
     // iteratively; release order follows the successor lists, which
     // are in edge-creation order, keeping scheduling deterministic.
+    //
+    // A node counts as settled only after its last touch of the graph:
+    // once the count reaches n, run() may return and destroy the
+    // graph and these closures while this worker is still here, so
+    // the tail below reads only locals and its own reference to the
+    // shared state.
     std::function<void(TaskId)> execute; // forward declaration
-    auto settle = [this, state, &execute](TaskId id, bool failed) {
+    auto settle = [this, state, n, &execute](TaskId id, bool failed) {
+        const std::shared_ptr<ExecState> st = state;
+        const size_t total = n;
         std::vector<TaskId> work{id};
         std::vector<char> parent_failed{(char)failed};
         while (!work.empty()) {
@@ -75,12 +83,11 @@ TaskGraph::run(ThreadPool &pool)
             bool cur_failed = parent_failed.back();
             work.pop_back();
             parent_failed.pop_back();
-            size_t done = state->settled.fetch_add(1) + 1;
             for (TaskId s : nodes[cur].successors) {
                 if (cur_failed)
-                    state->cancelled[s].store(1);
-                if (state->remaining[s].fetch_sub(1) == 1) {
-                    if (state->cancelled[s].load()) {
+                    st->cancelled[s].store(1);
+                if (st->remaining[s].fetch_sub(1) == 1) {
+                    if (st->cancelled[s].load()) {
                         work.push_back(s);
                         parent_failed.push_back(1);
                     } else {
@@ -88,9 +95,9 @@ TaskGraph::run(ThreadPool &pool)
                     }
                 }
             }
-            if (done == nodes.size()) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->cv.notify_all();
+            if (st->settled.fetch_add(1) + 1 == total) {
+                std::lock_guard<std::mutex> lock(st->mutex);
+                st->cv.notify_all();
             }
         }
     };

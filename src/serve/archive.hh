@@ -6,7 +6,7 @@
  * disk (see ProfilingService's lifecycle in service.hh), the bytes
  * must outlive the session object — a late dispatch, a post-hoc
  * sealDatabase(), or a service restart has to find them again. A
- * spill-and-unlink file (the columnar backend's default) cannot do
+ * spill-and-unlink file (what sealing a database creates) cannot do
  * that, so evictions write *named* archive files through this
  * catalog:
  *

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
+#include "core/detailed_validator.hh"
 #include "gpu/detailed_checkpoint.hh"
 #include "gpu/detailed_sim.hh"
 #include "gpu/eu_pipeline.hh"
 #include "isa/builder.hh"
 #include "sched/thread_pool.hh"
 #include "workloads/templates.hh"
+#include "workloads/workload.hh"
 
 namespace gt::gpu
 {
@@ -183,7 +186,7 @@ TEST_F(DetailedSimTest, DetailedSimIsSlowerThanProfiling)
 
     DetailedSimulator sim(config);
     DetailedResult r = sim.simulate(exec, d);
-    const isa::Relevance &rel = exec.relevance(&bin);
+    isa::Relevance rel = isa::analyzeRelevance(bin);
     // Instructions walked in detail exceed the relevant (fast-mode)
     // fraction by a wide margin.
     EXPECT_GT((double)r.simulatedInstrs,
@@ -353,8 +356,10 @@ TEST_F(DetailedSimTest, SerialParallelBitwiseAcrossDesignPoints)
     // The fig8 replay matrix collapses to 7 distinct design points
     // for the cycle model (noise seeds do not enter it): the
     // profiling clock, the 5-step frequency sweep, and the next
-    // generation. At each, the parallel machine layer must match the
-    // serial oracle bit for bit at 1, 4, and hardware-width pools.
+    // generation. At each, the machine layer on 4-wide and
+    // hardware-width pools must match the width-1 pool (the serial
+    // oracle) bit for bit — for raw replay cells and for whole
+    // validation reports.
     KernelBinary dep = chainKernel(true);
     KernelBinary indep = chainKernel(false);
     std::vector<DetailedCheckpoint> cps;
@@ -383,16 +388,15 @@ TEST_F(DetailedSimTest, SerialParallelBitwiseAcrossDesignPoints)
 
     sched::ThreadPool pool1(1), pool4(4);
     std::vector<sched::ThreadPool *> pools{
-        &pool1, &pool4, &sched::ThreadPool::global()};
+        &pool4, &sched::ThreadPool::global()};
 
-    using Backend = DetailedSimulator::Backend;
     for (const Point &pt : points) {
         DetailedSimulator sim(pt.config, pt.freqMhz);
         std::vector<DetailedResult> want =
-            sim.simulateBatch(cells, Backend::Serial);
+            sim.simulateBatch(cells, &pool1);
         for (sched::ThreadPool *pool : pools) {
             std::vector<DetailedResult> got =
-                sim.simulateBatch(cells, Backend::Parallel, pool);
+                sim.simulateBatch(cells, pool);
             ASSERT_EQ(want.size(), got.size());
             for (size_t i = 0; i < want.size(); ++i) {
                 EXPECT_EQ(want[i].cycles, got[i].cycles);
@@ -403,19 +407,28 @@ TEST_F(DetailedSimTest, SerialParallelBitwiseAcrossDesignPoints)
             }
         }
     }
-}
 
-TEST_F(DetailedSimTest, BackendNamesAndDefault)
-{
-    using Backend = DetailedSimulator::Backend;
-    EXPECT_STREQ("serial",
-                 DetailedSimulator::backendName(Backend::Serial));
-    EXPECT_STREQ("parallel",
-                 DetailedSimulator::backendName(Backend::Parallel));
-    // The default is env-driven; whatever it resolved to must be one
-    // of the two public names (unknown values fatal at startup).
-    Backend def = DetailedSimulator::defaultBackend();
-    EXPECT_TRUE(def == Backend::Serial || def == Backend::Parallel);
+    setLogQuiet(true);
+    core::ProfiledApp app = core::profileApp(
+        *workloads::findWorkload("cb-histogram-buffer"));
+    core::SubsetSelection sel = core::selectSubset(
+        app.db, core::IntervalScheme::SyncBounded, core::FeatureKind::BB);
+    core::DetailedValidator serial(app, &pool1);
+    for (sched::ThreadPool *pool : pools) {
+        core::DetailedValidator wide(app, pool);
+        for (const Point &pt : points) {
+            core::DesignPoint dp{pt.config, pt.freqMhz};
+            core::DetailedValidator::Report want =
+                serial.validate(sel, dp);
+            core::DetailedValidator::Report got = wide.validate(sel, dp);
+            EXPECT_EQ(want.fullSpi, got.fullSpi);
+            EXPECT_EQ(want.projectedSpi, got.projectedSpi);
+            EXPECT_EQ(want.errorPct, got.errorPct);
+            EXPECT_EQ(want.fullWalked, got.fullWalked);
+            EXPECT_EQ(want.subsetWalked, got.subsetWalked);
+        }
+    }
+    setLogQuiet(false);
 }
 
 } // anonymous namespace

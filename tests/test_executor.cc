@@ -444,7 +444,7 @@ TEST_F(ExecutorTest, HeterogeneousThreadsDiffer)
     src.templateName = "cascade";
     src.params = {12, 0xfff, 8};
     isa::KernelBinary bin = jit.compile(src);
-    EXPECT_TRUE(exec.relevance(&bin).threadDependent);
+    EXPECT_TRUE(isa::analyzeRelevance(bin).threadDependent);
 
     uint32_t base = (uint32_t)memory.allocate(1 << 20);
     Dispatch d;
@@ -561,10 +561,13 @@ TEST_F(ExecutorTest, MemAccessCallbackSeesAllTraffic)
     d.simdWidth = 16;
     d.args = {(uint32_t)buf};
     exec.run(d, Executor::Mode::Full, nullptr,
-             [&](uint64_t addr, uint32_t n, bool w) {
-                 EXPECT_GE(addr, buf);
-                 bytes += n;
-                 (w ? writes : reads) += 1;
+             [&](const MemBatch &batch) {
+                 for (size_t i = 0; i < batch.count; ++i) {
+                     EXPECT_GE(batch.addrs[i], buf);
+                     bytes += MemBatch::bytes(batch.metas[i]);
+                     (MemBatch::isWrite(batch.metas[i]) ? writes
+                                                        : reads) += 1;
+                 }
              });
     EXPECT_EQ(reads, 32u);
     EXPECT_EQ(writes, 32u);

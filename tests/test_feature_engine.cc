@@ -1,10 +1,10 @@
 /**
  * @file
- * Differential tests for the columnar feature engine: every flat
- * result — vectors, projections, clusterings, whole explorations —
- * must be bitwise identical to the std::map reference oracle, at
- * every thread count, on real profiled workloads and on adversarial
- * synthetic traces.
+ * Differential tests for the columnar feature engine: every result —
+ * vectors, projections, clusterings, whole explorations — must be
+ * bitwise identical to the std::map reference oracle
+ * (tests/reference), at every thread count, on real profiled
+ * workloads and on adversarial synthetic traces.
  */
 
 #include <thread>
@@ -15,6 +15,8 @@
 #include "core/explorer.hh"
 #include "core/feature_engine.hh"
 #include "core/pipeline.hh"
+#include "reference/features.hh"
+#include "reference/selection.hh"
 #include "workloads/workload.hh"
 
 namespace gt::core
@@ -56,7 +58,7 @@ expectBitwiseEqual(const FeatureVector &a, const FeatureVector &b)
         ASSERT_EQ(a.values()[i], b.values()[i]) << "dim " << i;
 }
 
-// --- Flat vs map oracle on real profiled workloads ----------------
+// --- Engine vs map oracle on real profiled workloads --------------
 
 class EngineWorkloadTest
     : public ::testing::TestWithParam<const char *>
@@ -67,14 +69,14 @@ TEST_P(EngineWorkloadTest, FlatVectorsMatchMapOracleBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
+    FeatureEngine flat(app.db);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
         for (FeatureKind kind : allKinds()) {
             for (const Interval &iv : intervals) {
                 FeatureVector got = flat.extract(iv, kind);
                 FeatureVector want =
-                    extractFeaturesMap(app.db, iv, kind);
+                    reference::extractFeaturesMap(app.db, iv, kind);
                 expectBitwiseEqual(got, want);
             }
         }
@@ -86,7 +88,7 @@ TEST_P(EngineWorkloadTest, ProjectionsMatchOnTheFlyBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
+    FeatureEngine flat(app.db);
     ASSERT_NE(flat.projection(), nullptr);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
@@ -108,11 +110,10 @@ TEST_P(EngineWorkloadTest, ExplorationMatchesMapBackendBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
-    FeatureEngine map(app.db, FeatureBackend::Map);
+    FeatureEngine flat(app.db);
 
     Exploration a = exploreConfigs(app.db, {}, 0, &flat);
-    Exploration b = exploreConfigs(app.db, {}, 0, &map);
+    Exploration b = reference::exploreConfigs(app.db);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (size_t i = 0; i < a.results.size(); ++i) {
         const ConfigResult &ra = a.results[i];
@@ -132,7 +133,7 @@ TEST_P(EngineWorkloadTest, FlatExplorationIsThreadCountInvariant)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
+    FeatureEngine flat(app.db);
 
     auto explore_with = [&](unsigned threads) {
         sched::ThreadPool pool(threads);
@@ -212,19 +213,19 @@ TEST(FeatureEngine, ReplayedTrialNeedsItsOwnEngine)
     // An engine is bound to the database it lowered; handing it a
     // selection pass over another trial's database must trip the
     // identity assert rather than silently serve stale columns.
-    FeatureEngine engine1(app.db, FeatureBackend::Flat);
+    FeatureEngine engine1(app.db);
     EXPECT_THROW(selectSubset(db2, IntervalScheme::SyncBounded,
                               FeatureKind::BB, {}, 0, &engine1),
                  PanicError);
 
     // A fresh engine over the replayed trial matches that trial's
     // oracle (not trial 1's).
-    FeatureEngine engine2(db2, FeatureBackend::Flat);
+    FeatureEngine engine2(db2);
     for (const Interval &iv :
          buildIntervals(db2, IntervalScheme::SingleKernel)) {
         expectBitwiseEqual(
             engine2.extract(iv, FeatureKind::BB_R_W),
-            extractFeaturesMap(db2, iv, FeatureKind::BB_R_W));
+            reference::extractFeaturesMap(db2, iv, FeatureKind::BB_R_W));
     }
     setLogQuiet(false);
 }
@@ -295,14 +296,14 @@ edgeDb()
 TEST(FeatureEngine, EmptyDispatchesYieldEmptyVectorsOnBothBackends)
 {
     TraceDatabase db = edgeDb();
-    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine flat(db);
     for (uint64_t d : {1ull, 2ull}) {
         Interval iv;
         iv.firstDispatch = d;
         iv.lastDispatch = d;
         for (FeatureKind kind : allKinds()) {
             FeatureVector got = flat.extract(iv, kind);
-            FeatureVector want = extractFeaturesMap(db, iv, kind);
+            FeatureVector want = reference::extractFeaturesMap(db, iv, kind);
             EXPECT_EQ(got.dims(), 0u)
                 << featureKindName(kind) << " dispatch " << d;
             expectBitwiseEqual(got, want);
@@ -313,14 +314,14 @@ TEST(FeatureEngine, EmptyDispatchesYieldEmptyVectorsOnBothBackends)
 TEST(FeatureEngine, SingleDispatchIntervalsMatchOracle)
 {
     TraceDatabase db = edgeDb();
-    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine flat(db);
     for (uint64_t d = 0; d < db.numDispatches(); ++d) {
         Interval iv;
         iv.firstDispatch = d;
         iv.lastDispatch = d;
         for (FeatureKind kind : allKinds()) {
             expectBitwiseEqual(flat.extract(iv, kind),
-                               extractFeaturesMap(db, iv, kind));
+                               reference::extractFeaturesMap(db, iv, kind));
         }
     }
 }
@@ -340,7 +341,7 @@ TEST(FeatureEngine, ScratchReuseAcrossKindsAndIntervalsIsClean)
                 iv.lastDispatch = d;
                 expectBitwiseEqual(
                     cache.extract(iv, kind, scratch),
-                    extractFeaturesMap(db, iv, kind));
+                    reference::extractFeaturesMap(db, iv, kind));
             }
         }
     }
@@ -349,30 +350,18 @@ TEST(FeatureEngine, ScratchReuseAcrossKindsAndIntervalsIsClean)
 TEST(FeatureEngine, AllZeroVectorsNormalizeToEmpty)
 {
     TraceDatabase db = edgeDb();
-    FeatureEngine flat(db, FeatureBackend::Flat);
-    FeatureEngine map(db, FeatureBackend::Map);
+    FeatureEngine flat(db);
     Interval iv;
     iv.firstDispatch = 1;
     iv.lastDispatch = 2; // only instruction-free dispatches
     for (FeatureKind kind : allKinds()) {
         auto flat_all = flat.extractAll({iv}, kind);
-        auto map_all = map.extractAll({iv}, kind);
+        auto map_all = reference::extractAllMap(db, {iv}, kind);
         ASSERT_EQ(flat_all.size(), 1u);
         ASSERT_EQ(map_all.size(), 1u);
         EXPECT_EQ(flat_all[0].dims(), 0u);
         expectBitwiseEqual(flat_all[0], map_all[0]);
     }
-}
-
-TEST(FeatureEngine, MapBackendHasNoCacheOrTable)
-{
-    TraceDatabase db = edgeDb();
-    FeatureEngine map(db, FeatureBackend::Map);
-    EXPECT_EQ(map.backend(), FeatureBackend::Map);
-    EXPECT_EQ(map.projection(), nullptr);
-    FeatureEngine flat(db, FeatureBackend::Flat);
-    EXPECT_EQ(flat.backend(), FeatureBackend::Flat);
-    EXPECT_NE(flat.projection(), nullptr);
 }
 
 TEST(FeatureEngine, CacheKeyUniverseCoversEveryExtractedKey)

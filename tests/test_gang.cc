@@ -1,12 +1,14 @@
 /**
  * @file
- * Differential tests for gang-lockstep execution (GT_EXEC=gang).
+ * Differential tests for gang-lockstep execution.
  *
  * The gang path reorders thread interleaving, never thread-visible
- * results: everything observable must be bitwise identical to scalar
- * execution. The matrix covers every kernel template under
- * {scalar,gang} x {Full,Fast} x {plain, instrumented, batch-memtrace}
- * with *distinct* per-argument buffers (a shared buffer makes the
+ * results: everything observable must be bitwise identical to the
+ * scalar reference interpreter (tests/reference), which runs threads
+ * one at a time and delivers memory accesses as they happen. The
+ * matrix covers every kernel template under {reference,executor} x
+ * {Full,Fast} x {plain, instrumented, batch-memtrace} with
+ * *distinct* per-argument buffers (a shared buffer makes the
  * dispatch-time region checks overlap, pinning scalar execution —
  * itself covered as a fallback case). Adversarial coverage: control
  * divergence at the first and the last superblock, aliasing stores
@@ -22,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
-#include "gpu/executor.hh"
+#include "exec_pair.hh"
 #include "gtpin/rewriter.hh"
 #include "isa/builder.hh"
 #include "workloads/templates.hh"
@@ -41,131 +42,9 @@ using isa::KernelBuilder;
 using isa::Reg;
 using isa::imm;
 
-constexpr uint64_t memBytes = 32 << 20;
 // Large enough to contain any template's proven access region
 // (<= 256 KB + store span), so consecutive allocations are disjoint.
 constexpr uint64_t argBufBytes = 1 << 19;
-
-void
-expectProfilesEqual(const ExecProfile &a, const ExecProfile &b)
-{
-    EXPECT_EQ(a.numThreads, b.numThreads);
-    EXPECT_EQ(a.dynInstrs, b.dynInstrs);
-    EXPECT_EQ(a.instrumentationInstrs, b.instrumentationInstrs);
-    EXPECT_EQ(a.blockCounts, b.blockCounts);
-    EXPECT_EQ(a.opcodeCounts, b.opcodeCounts);
-    EXPECT_EQ(a.classCounts, b.classCounts);
-    EXPECT_EQ(a.simdCounts, b.simdCounts);
-    EXPECT_EQ(a.bytesRead, b.bytesRead);
-    EXPECT_EQ(a.bytesWritten, b.bytesWritten);
-    EXPECT_EQ(a.sendCount, b.sendCount);
-    // Bitwise: gang slots must accrue cycles in scalar thread order.
-    EXPECT_EQ(a.threadCycles, b.threadCycles);
-}
-
-/** One memory-trace record plus the chunk flush it arrived in. */
-struct TraceRec
-{
-    uint64_t addr;
-    uint32_t meta;
-    uint64_t chunk;
-
-    bool
-    operator==(const TraceRec &o) const
-    {
-        return addr == o.addr && meta == o.meta && chunk == o.chunk;
-    }
-};
-
-/**
- * One executor per execution mode, each over its own device memory so
- * Full-mode stores can be compared byte for byte afterwards. The
- * allocators run in lockstep, so buffers land at the same addresses.
- */
-class ExecModePair
-{
-  public:
-    ExecModePair()
-        : config(DeviceConfig::hd4000()), memScalar(memBytes),
-          memGang(memBytes), execScalar(config, memScalar),
-          execGang(config, memGang)
-    {
-        execScalar.setBackend(Executor::Backend::Uops);
-        execGang.setBackend(Executor::Backend::Uops);
-        execScalar.setExecMode(Executor::ExecMode::Scalar);
-        execGang.setExecMode(Executor::ExecMode::Gang);
-    }
-
-    uint64_t
-    allocate(uint64_t size)
-    {
-        uint64_t addr = memScalar.allocate(size);
-        uint64_t addr2 = memGang.allocate(size);
-        GT_ASSERT(addr == addr2, "exec-mode allocators diverged");
-        return addr;
-    }
-
-    /** Run the dispatch under both modes; expect equal profiles. */
-    void
-    runBoth(const Dispatch &d, Executor::Mode mode,
-            TraceBuffer *trace_scalar = nullptr,
-            TraceBuffer *trace_gang = nullptr)
-    {
-        ExecProfile ps = execScalar.run(d, mode, trace_scalar);
-        ExecProfile pg = execGang.run(d, mode, trace_gang);
-        expectProfilesEqual(ps, pg);
-    }
-
-    /**
-     * Run with batched trace delivery under both modes; expect equal
-     * profiles and an identical record stream including chunk flush
-     * boundaries. @p chunk stresses mid-thread flushes when small.
-     */
-    void
-    runBothBatch(const Dispatch &d, size_t chunk)
-    {
-        auto capture = [](std::vector<TraceRec> &out, uint64_t &n) {
-            return [&out, &n](const MemBatch &batch) {
-                for (size_t i = 0; i < batch.count; ++i) {
-                    out.push_back(
-                        {batch.addrs[i], batch.metas[i], n});
-                }
-                ++n;
-            };
-        };
-        std::vector<TraceRec> recScalar, recGang;
-        uint64_t chunksScalar = 0, chunksGang = 0;
-        MemBatchFn fnScalar = capture(recScalar, chunksScalar);
-        MemBatchFn fnGang = capture(recGang, chunksGang);
-        execScalar.setMemTraceChunk(chunk);
-        execGang.setMemTraceChunk(chunk);
-        ExecProfile ps = execScalar.run(d, Executor::Mode::Full,
-                                        nullptr, {}, fnScalar);
-        ExecProfile pg = execGang.run(d, Executor::Mode::Full,
-                                      nullptr, {}, fnGang);
-        expectProfilesEqual(ps, pg);
-        EXPECT_EQ(chunksScalar, chunksGang);
-        ASSERT_EQ(recScalar.size(), recGang.size());
-        EXPECT_TRUE(recScalar == recGang)
-            << "memory-trace record streams diverged";
-    }
-
-    /** Compare the first @p bytes of both device memories. */
-    void
-    expectMemoryEqual(uint64_t bytes)
-    {
-        for (uint64_t a = 0; a + 4 <= bytes; a += 4) {
-            ASSERT_EQ(memScalar.read32(a), memGang.read32(a))
-                << "memory diverged at address " << a;
-        }
-    }
-
-    DeviceConfig config;
-    DeviceMemory memScalar;
-    DeviceMemory memGang;
-    Executor execScalar;
-    Executor execGang;
-};
 
 /** Templates whose plan-time verdict is gang-safe (regionForm). */
 const std::set<std::string> &
@@ -206,7 +85,7 @@ class GangDiff : public ::testing::TestWithParam<std::string>
         d.binary = &bin;
         d.globalSize = gws;
         d.simdWidth = 16;
-        if (pair.execGang.gangSafety(&bin).checks.empty()) {
+        if (isa::analyzeGangSafety(bin).checks.empty()) {
             uint32_t base = (uint32_t)pair.allocate(argBufBytes);
             d.args.assign(bin.numArgs, base);
         } else {
@@ -236,13 +115,13 @@ class GangDiff : public ::testing::TestWithParam<std::string>
         return gangSafeTemplates().count(GetParam()) != 0;
     }
 
-    ExecModePair pair;
+    RefPair pair;
 };
 
 TEST_P(GangDiff, PlanVerdictMatchesExpectation)
 {
     KernelBinary bin = compile();
-    const isa::GangSafety &g = pair.execGang.gangSafety(&bin);
+    isa::GangSafety g = isa::analyzeGangSafety(bin);
     EXPECT_EQ(g.regionForm, expectGanged())
         << "gang-safety verdict changed for " << GetParam();
     if (g.regionForm) {
@@ -256,9 +135,8 @@ TEST_P(GangDiff, FullModePlain)
     KernelBinary bin = compile();
     Dispatch d = dispatchFor(bin);
     pair.runBoth(d, Executor::Mode::Full);
-    EXPECT_FALSE(pair.execScalar.lastRunGanged());
-    EXPECT_EQ(pair.execGang.lastRunGanged(), expectGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    EXPECT_EQ(pair.exec.lastRunGanged(), expectGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(GangDiff, FastModePlain)
@@ -268,7 +146,7 @@ TEST_P(GangDiff, FastModePlain)
     pair.runBoth(d, Executor::Mode::Fast);
     // Fast mode never gangs: representative or relevance-sliced
     // threads stay on the scalar path.
-    EXPECT_FALSE(pair.execGang.lastRunGanged());
+    EXPECT_FALSE(pair.exec.lastRunGanged());
 }
 
 TEST_P(GangDiff, FullModeInstrumented)
@@ -277,11 +155,11 @@ TEST_P(GangDiff, FullModeInstrumented)
     uint32_t num_slots = 0;
     KernelBinary rewritten = instrument(bin, num_slots);
     Dispatch d = dispatchFor(rewritten);
-    TraceBuffer ts(num_slots), tg(num_slots);
-    pair.runBoth(d, Executor::Mode::Full, &ts, &tg);
-    EXPECT_EQ(ts.raw(), tg.raw());
-    EXPECT_EQ(pair.execGang.lastRunGanged(), expectGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    TraceBuffer tr(num_slots), tg(num_slots);
+    pair.runBoth(d, Executor::Mode::Full, &tr, &tg);
+    EXPECT_EQ(tr.raw(), tg.raw());
+    EXPECT_EQ(pair.exec.lastRunGanged(), expectGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(GangDiff, FastModeInstrumented)
@@ -290,9 +168,9 @@ TEST_P(GangDiff, FastModeInstrumented)
     uint32_t num_slots = 0;
     KernelBinary rewritten = instrument(bin, num_slots);
     Dispatch d = dispatchFor(rewritten);
-    TraceBuffer ts(num_slots), tg(num_slots);
-    pair.runBoth(d, Executor::Mode::Fast, &ts, &tg);
-    EXPECT_EQ(ts.raw(), tg.raw());
+    TraceBuffer tr(num_slots), tg(num_slots);
+    pair.runBoth(d, Executor::Mode::Fast, &tr, &tg);
+    EXPECT_EQ(tr.raw(), tg.raw());
 }
 
 TEST_P(GangDiff, BatchMemTraceBitwiseOrder)
@@ -300,10 +178,11 @@ TEST_P(GangDiff, BatchMemTraceBitwiseOrder)
     KernelBinary bin = compile();
     Dispatch d = dispatchFor(bin);
     // A chunk smaller than one gang's records forces flushes from
-    // inside the per-slot drain; scalar boundaries must reproduce.
+    // inside the per-slot drain; the reference's boundaries must
+    // reproduce.
     pair.runBothBatch(d, 96);
-    EXPECT_EQ(pair.execGang.lastRunGanged(), expectGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    EXPECT_EQ(pair.exec.lastRunGanged(), expectGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(GangDiff, SharedBufferFallsBackAndMatches)
@@ -316,13 +195,13 @@ TEST_P(GangDiff, SharedBufferFallsBackAndMatches)
     uint32_t base = (uint32_t)pair.allocate(argBufBytes);
     d.args.assign(bin.numArgs, base);
     pair.runBoth(d, Executor::Mode::Full);
-    const isa::GangSafety &g = pair.execGang.gangSafety(&bin);
+    isa::GangSafety g = isa::analyzeGangSafety(bin);
     if (!g.checks.empty()) {
         // Aliased buffers violate the dispatch-time region checks:
         // the gang executor must detect it and run scalar.
-        EXPECT_FALSE(pair.execGang.lastRunGanged());
+        EXPECT_FALSE(pair.exec.lastRunGanged());
     }
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(GangDiff, PartialAndSingleGangs)
@@ -334,7 +213,7 @@ TEST_P(GangDiff, PartialAndSingleGangs)
         Dispatch d = dispatchFor(bin, 16 * threads);
         pair.runBoth(d, Executor::Mode::Full);
     }
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(GangDiff, ExecutorReuseInvariance)
@@ -344,15 +223,15 @@ TEST_P(GangDiff, ExecutorReuseInvariance)
     // (no state leaking through the reused SoA block or dirty lists).
     KernelBinary bin = compile();
     Dispatch d = dispatchFor(bin);
-    ExecProfile first = pair.execGang.run(d, Executor::Mode::Full);
-    ExecProfile second = pair.execGang.run(d, Executor::Mode::Full);
+    ExecProfile first = pair.exec.run(d, Executor::Mode::Full);
+    ExecProfile second = pair.exec.run(d, Executor::Mode::Full);
     expectProfilesEqual(first, second);
-    // Matching dispatch count on the scalar side: templates that
+    // Matching dispatch count on the reference side: templates that
     // update buffers in place (particle) evolve state per run.
-    pair.execScalar.run(d, Executor::Mode::Full);
-    ExecProfile scalar = pair.execScalar.run(d, Executor::Mode::Full);
-    expectProfilesEqual(scalar, second);
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    pair.ref.run(d, Executor::Mode::Full);
+    ExecProfile oracle = pair.ref.run(d, Executor::Mode::Full);
+    expectProfilesEqual(oracle, second);
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -380,7 +259,7 @@ class GangCascade : public ::testing::Test
         return workloads::TemplateJit().compile(src);
     }
 
-    ExecModePair pair;
+    RefPair pair;
 };
 
 TEST_F(GangCascade, DivergentThreadsMatchScalar)
@@ -394,14 +273,14 @@ TEST_F(GangCascade, DivergentThreadsMatchScalar)
     uint32_t out = (uint32_t)pair.allocate(argBufBytes);
     d.args = {in, out, 2, 0};
     pair.runBoth(d, Executor::Mode::Full);
-    EXPECT_TRUE(pair.execGang.lastRunGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    EXPECT_TRUE(pair.exec.lastRunGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_F(GangCascade, BatchTraceSurvivesRetirement)
 {
     // Retired slots keep appending to their per-slot record buffers;
-    // the drained stream must still be in scalar thread order.
+    // the drained stream must still be in thread order.
     KernelBinary bin = compileCascade(12, 0xfff, 8);
     Dispatch d;
     d.binary = &bin;
@@ -411,8 +290,8 @@ TEST_F(GangCascade, BatchTraceSurvivesRetirement)
     uint32_t out = (uint32_t)pair.allocate(argBufBytes);
     d.args = {in, out, 2, 0};
     pair.runBothBatch(d, 64);
-    EXPECT_TRUE(pair.execGang.lastRunGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    EXPECT_TRUE(pair.exec.lastRunGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 /** Divergence decided by the very first compare: every gang splits at
@@ -444,17 +323,17 @@ TEST(GangDivergence, FirstSuperblock)
     b.halt();
     KernelBinary bin = b.finish();
 
-    ExecModePair pair;
+    RefPair pair;
     Dispatch d;
     d.binary = &bin;
     d.globalSize = 16 * 24;
     d.simdWidth = 16;
     d.args = {(uint32_t)pair.allocate(argBufBytes)};
-    ExecProfile ps = pair.execScalar.run(d, Executor::Mode::Full);
-    ExecProfile pg = pair.execGang.run(d, Executor::Mode::Full);
-    expectProfilesEqual(ps, pg);
-    EXPECT_TRUE(pair.execGang.lastRunGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    ExecProfile pr = pair.ref.run(d, Executor::Mode::Full);
+    ExecProfile pg = pair.exec.run(d, Executor::Mode::Full);
+    expectProfilesEqual(pr, pg);
+    EXPECT_TRUE(pair.exec.lastRunGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 /** Divergence on the last superblock: odd threads take a longer exit
@@ -483,17 +362,17 @@ TEST(GangDivergence, LastSuperblock)
     b.halt();
     KernelBinary bin = b.finish();
 
-    ExecModePair pair;
+    RefPair pair;
     Dispatch d;
     d.binary = &bin;
     d.globalSize = 16 * 24;
     d.simdWidth = 16;
     d.args = {(uint32_t)pair.allocate(argBufBytes)};
-    ExecProfile ps = pair.execScalar.run(d, Executor::Mode::Full);
-    ExecProfile pg = pair.execGang.run(d, Executor::Mode::Full);
-    expectProfilesEqual(ps, pg);
-    EXPECT_TRUE(pair.execGang.lastRunGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    ExecProfile pr = pair.ref.run(d, Executor::Mode::Full);
+    ExecProfile pg = pair.exec.run(d, Executor::Mode::Full);
+    expectProfilesEqual(pr, pg);
+    EXPECT_TRUE(pair.exec.lastRunGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 // --- aliasing stores must force gangSafe = false -----------------------
@@ -511,8 +390,8 @@ TEST(GangSafety, AliasingStoresPinScalar)
     b.halt();
     KernelBinary bin = b.finish();
 
-    ExecModePair pair;
-    const isa::GangSafety &g = pair.execGang.gangSafety(&bin);
+    RefPair pair;
+    isa::GangSafety g = isa::analyzeGangSafety(bin);
     EXPECT_FALSE(g.regionForm);
 
     Dispatch d;
@@ -520,11 +399,11 @@ TEST(GangSafety, AliasingStoresPinScalar)
     d.globalSize = 16 * 24;
     d.simdWidth = 16;
     d.args = {(uint32_t)pair.allocate(argBufBytes)};
-    ExecProfile ps = pair.execScalar.run(d, Executor::Mode::Full);
-    ExecProfile pg = pair.execGang.run(d, Executor::Mode::Full);
-    expectProfilesEqual(ps, pg);
-    EXPECT_FALSE(pair.execGang.lastRunGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    ExecProfile pr = pair.ref.run(d, Executor::Mode::Full);
+    ExecProfile pg = pair.exec.run(d, Executor::Mode::Full);
+    expectProfilesEqual(pr, pg);
+    EXPECT_FALSE(pair.exec.lastRunGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST(GangSafety, SimdWidthGuard)
@@ -539,8 +418,8 @@ TEST(GangSafety, SimdWidthGuard)
     src.params = {8};
     KernelBinary bin = workloads::TemplateJit().compile(src);
 
-    ExecModePair pair;
-    const isa::GangSafety &g = pair.execGang.gangSafety(&bin);
+    RefPair pair;
+    isa::GangSafety g = isa::analyzeGangSafety(bin);
     ASSERT_TRUE(g.regionForm);
     ASSERT_GT(g.minSimdWidth, 8);
 
@@ -550,11 +429,11 @@ TEST(GangSafety, SimdWidthGuard)
     d.simdWidth = 8;
     for (uint32_t a = 0; a < bin.numArgs; ++a)
         d.args.push_back((uint32_t)pair.allocate(argBufBytes));
-    ExecProfile ps = pair.execScalar.run(d, Executor::Mode::Full);
-    ExecProfile pg = pair.execGang.run(d, Executor::Mode::Full);
-    expectProfilesEqual(ps, pg);
-    EXPECT_FALSE(pair.execGang.lastRunGanged());
-    pair.expectMemoryEqual(pair.memScalar.allocated());
+    ExecProfile pr = pair.ref.run(d, Executor::Mode::Full);
+    ExecProfile pg = pair.exec.run(d, Executor::Mode::Full);
+    expectProfilesEqual(pr, pg);
+    EXPECT_FALSE(pair.exec.lastRunGanged());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 } // anonymous namespace

@@ -1,15 +1,17 @@
 /**
  * @file
- * Differential tests between the executor's two interpreter backends.
+ * Differential tests between the executor and the scalar reference
+ * interpreter (tests/reference).
  *
- * The uop backend (predecoded micro-ops with superblock chaining) must
+ * The executor (predecoded micro-ops with superblock chaining) must
  * be observationally indistinguishable from the reference switch
- * backend: bitwise-identical ExecProfiles (including threadCycles,
- * which is a double and therefore sensitive to FP summation order),
- * identical trace-buffer deltas for instrumented binaries, identical
- * block traces (including truncation points), and identical memory
- * contents after Full-mode runs. The matrix covers every kernel
- * template under {switch,uops} x {Full,Fast} x {plain,instrumented}.
+ * interpreter: bitwise-identical ExecProfiles (including
+ * threadCycles, which is a double and therefore sensitive to FP
+ * summation order), identical trace-buffer deltas for instrumented
+ * binaries, identical block traces (including truncation points),
+ * and identical memory contents after Full-mode runs. The matrix
+ * covers every kernel template under {reference,executor} x
+ * {Full,Fast} x {plain,instrumented}.
  *
  * Also covered here: the plan-cache generation id (satellite fix — a
  * new binary at a recycled address must not reuse the stale plan) and
@@ -25,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
-#include "gpu/executor.hh"
+#include "exec_pair.hh"
 #include "gtpin/rewriter.hh"
 #include "isa/builder.hh"
 #include "workloads/templates.hh"
@@ -44,77 +45,6 @@ using isa::Reg;
 using isa::imm;
 
 constexpr uint64_t memBytes = 16 << 20;
-
-void
-expectProfilesEqual(const ExecProfile &a, const ExecProfile &b)
-{
-    EXPECT_EQ(a.numThreads, b.numThreads);
-    EXPECT_EQ(a.dynInstrs, b.dynInstrs);
-    EXPECT_EQ(a.instrumentationInstrs, b.instrumentationInstrs);
-    EXPECT_EQ(a.blockCounts, b.blockCounts);
-    EXPECT_EQ(a.opcodeCounts, b.opcodeCounts);
-    EXPECT_EQ(a.classCounts, b.classCounts);
-    EXPECT_EQ(a.simdCounts, b.simdCounts);
-    EXPECT_EQ(a.bytesRead, b.bytesRead);
-    EXPECT_EQ(a.bytesWritten, b.bytesWritten);
-    EXPECT_EQ(a.sendCount, b.sendCount);
-    // Bitwise: both backends must accrue cycles in the same order.
-    EXPECT_EQ(a.threadCycles, b.threadCycles);
-}
-
-/**
- * One executor per backend, each over its own device memory so
- * Full-mode stores can be compared byte for byte afterwards. The
- * allocators run in lockstep, so buffers land at the same addresses.
- */
-class BackendPair
-{
-  public:
-    BackendPair()
-        : config(DeviceConfig::hd4000()), memSwitch(memBytes),
-          memUops(memBytes), execSwitch(config, memSwitch),
-          execUops(config, memUops)
-    {
-        execSwitch.setBackend(Executor::Backend::Switch);
-        execUops.setBackend(Executor::Backend::Uops);
-    }
-
-    uint64_t
-    allocate(uint64_t size)
-    {
-        uint64_t addr = memSwitch.allocate(size);
-        uint64_t addr2 = memUops.allocate(size);
-        GT_ASSERT(addr == addr2, "backend allocators diverged");
-        return addr;
-    }
-
-    /** Run the dispatch on both backends; expect equal profiles. */
-    void
-    runBoth(const Dispatch &d, Executor::Mode mode,
-            TraceBuffer *trace_switch = nullptr,
-            TraceBuffer *trace_uops = nullptr)
-    {
-        ExecProfile ps = execSwitch.run(d, mode, trace_switch);
-        ExecProfile pu = execUops.run(d, mode, trace_uops);
-        expectProfilesEqual(ps, pu);
-    }
-
-    /** Compare the first @p bytes of both device memories. */
-    void
-    expectMemoryEqual(uint64_t bytes)
-    {
-        for (uint64_t a = 0; a + 4 <= bytes; a += 4) {
-            ASSERT_EQ(memSwitch.read32(a), memUops.read32(a))
-                << "memory diverged at address " << a;
-        }
-    }
-
-    DeviceConfig config;
-    DeviceMemory memSwitch;
-    DeviceMemory memUops;
-    Executor execSwitch;
-    Executor execUops;
-};
 
 class InterpDiff : public ::testing::TestWithParam<std::string>
 {
@@ -157,7 +87,7 @@ class InterpDiff : public ::testing::TestWithParam<std::string>
         return ins.apply();
     }
 
-    BackendPair pair;
+    RefPair pair{memBytes};
 };
 
 TEST_P(InterpDiff, FullModePlain)
@@ -165,7 +95,7 @@ TEST_P(InterpDiff, FullModePlain)
     KernelBinary bin = compile();
     Dispatch d = dispatchFor(bin);
     pair.runBoth(d, Executor::Mode::Full);
-    pair.expectMemoryEqual(pair.memSwitch.allocated());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(InterpDiff, FastModePlain)
@@ -181,10 +111,10 @@ TEST_P(InterpDiff, FullModeInstrumented)
     uint32_t num_slots = 0;
     KernelBinary rewritten = instrument(bin, num_slots);
     Dispatch d = dispatchFor(rewritten);
-    TraceBuffer ts(num_slots), tu(num_slots);
-    pair.runBoth(d, Executor::Mode::Full, &ts, &tu);
-    EXPECT_EQ(ts.raw(), tu.raw());
-    pair.expectMemoryEqual(pair.memSwitch.allocated());
+    TraceBuffer tr(num_slots), te(num_slots);
+    pair.runBoth(d, Executor::Mode::Full, &tr, &te);
+    EXPECT_EQ(tr.raw(), te.raw());
+    pair.expectMemoryEqual(pair.memRef.allocated());
 }
 
 TEST_P(InterpDiff, FastModeInstrumented)
@@ -193,32 +123,32 @@ TEST_P(InterpDiff, FastModeInstrumented)
     uint32_t num_slots = 0;
     KernelBinary rewritten = instrument(bin, num_slots);
     Dispatch d = dispatchFor(rewritten);
-    TraceBuffer ts(num_slots), tu(num_slots);
-    pair.runBoth(d, Executor::Mode::Fast, &ts, &tu);
-    EXPECT_EQ(ts.raw(), tu.raw());
+    TraceBuffer tr(num_slots), te(num_slots);
+    pair.runBoth(d, Executor::Mode::Fast, &tr, &te);
+    EXPECT_EQ(tr.raw(), te.raw());
 }
 
 TEST_P(InterpDiff, BlockTraceIdentical)
 {
     KernelBinary bin = compile();
     Dispatch d = dispatchFor(bin);
-    auto ts = pair.execSwitch.blockTrace(d, 0);
-    auto tu = pair.execUops.blockTrace(d, 0);
-    EXPECT_EQ(ts, tu);
+    auto tr = pair.ref.blockTrace(d, 0);
+    auto te = pair.exec.blockTrace(d, 0);
+    EXPECT_EQ(tr, te);
 }
 
 TEST_P(InterpDiff, TruncatedBlockTraceIdentical)
 {
     // The truncation point must agree even when it lands mid-way
-    // through a superblock: the uop backend's trace path steps one
+    // through a superblock: the executor's trace path steps one
     // member basic block at a time.
     KernelBinary bin = compile();
     Dispatch d = dispatchFor(bin);
     for (uint64_t max_len : {1, 2, 3, 7}) {
-        auto ts = pair.execSwitch.blockTrace(d, 0, max_len);
-        auto tu = pair.execUops.blockTrace(d, 0, max_len);
-        EXPECT_EQ(ts, tu) << "max_len=" << max_len;
-        EXPECT_LE(ts.size(), max_len);
+        auto tr = pair.ref.blockTrace(d, 0, max_len);
+        auto te = pair.exec.blockTrace(d, 0, max_len);
+        EXPECT_EQ(tr, te) << "max_len=" << max_len;
+        EXPECT_LE(tr.size(), max_len);
     }
 }
 
@@ -238,7 +168,7 @@ TEST(InterpDiffCascade, ThreadDependentManyThreads)
     src.params = {12, 0xfff, 8};
     KernelBinary bin = jit.compile(src);
 
-    BackendPair pair;
+    RefPair pair{memBytes};
     uint32_t base = (uint32_t)pair.allocate(1 << 20);
     Dispatch d;
     d.binary = &bin;
@@ -247,9 +177,9 @@ TEST(InterpDiffCascade, ThreadDependentManyThreads)
     d.args = {base, base, 2, 0};
 
     for (auto mode : {Executor::Mode::Full, Executor::Mode::Fast}) {
-        ExecProfile ps = pair.execSwitch.run(d, mode);
-        ExecProfile pu = pair.execUops.run(d, mode);
-        expectProfilesEqual(ps, pu);
+        ExecProfile pr = pair.ref.run(d, mode);
+        ExecProfile pe = pair.exec.run(d, mode);
+        expectProfilesEqual(pr, pe);
     }
 }
 
@@ -262,7 +192,7 @@ TEST(InterpDiffCascade, SingleThreadMatchesToo)
     src.params = {12, 0xfff, 8};
     KernelBinary bin = jit.compile(src);
 
-    BackendPair pair;
+    RefPair pair{memBytes};
     uint32_t base = (uint32_t)pair.allocate(1 << 20);
     Dispatch d;
     d.binary = &bin;
@@ -270,9 +200,9 @@ TEST(InterpDiffCascade, SingleThreadMatchesToo)
     d.simdWidth = 16;
     d.args = {base, base, 2, 0};
 
-    ExecProfile ps = pair.execSwitch.run(d, Executor::Mode::Full);
-    ExecProfile pu = pair.execUops.run(d, Executor::Mode::Full);
-    expectProfilesEqual(ps, pu);
+    ExecProfile pr = pair.ref.run(d, Executor::Mode::Full);
+    ExecProfile pe = pair.exec.run(d, Executor::Mode::Full);
+    expectProfilesEqual(pr, pe);
 }
 
 // --- plan-cache identity (generation id satellite) ---------------------

@@ -1,11 +1,12 @@
 /**
  * @file
- * Differential tests for the pruned k-means backend: every result —
+ * Differential tests for the pruned k-means clusterer: every result —
  * assignments, centroids, distortion, per-cluster weights, BIC,
  * chosen k, whole explorations — must be bitwise identical to the
- * Lloyd oracle, at every thread count, on real profiled workloads
- * and on adversarial synthetic populations (coincident points,
- * n < maxK, single point, empty clusters forcing the re-seed path).
+ * plain Lloyd oracle (tests/reference), at every thread count, on
+ * real profiled workloads and on adversarial synthetic populations
+ * (coincident points, n < maxK, single point, empty clusters forcing
+ * the re-seed path).
  */
 
 #include <cstring>
@@ -17,6 +18,8 @@
 #include "core/explorer.hh"
 #include "core/feature_engine.hh"
 #include "core/pipeline.hh"
+#include "reference/kmeans.hh"
+#include "reference/selection.hh"
 #include "workloads/workload.hh"
 
 namespace gt::core
@@ -26,7 +29,6 @@ namespace
 
 using simpoint::Clustering;
 using simpoint::ClusterOptions;
-using simpoint::KMeansBackend;
 using simpoint::KMeansRun;
 using simpoint::KMeansStats;
 using simpoint::Point;
@@ -62,17 +64,26 @@ makeWeights(Rng &rng, size_t n)
     return weights;
 }
 
+/** The production (pruned) clusterer at a fixed k. */
 KMeansRun
-runWith(const std::vector<Point> &points,
-        const std::vector<double> &weights, int k, uint64_t seed,
-        KMeansBackend backend, sched::ThreadPool *pool = nullptr)
+runPruned(const std::vector<Point> &points,
+          const std::vector<double> &weights, int k, uint64_t seed,
+          sched::ThreadPool *pool = nullptr)
 {
     Rng rng(seed);
-    return simpoint::kmeansRun(points, weights, k, 30, rng, pool,
-                               backend);
+    return simpoint::kmeansRun(points, weights, k, 30, rng, pool);
 }
 
-/** Bitwise equality of everything both backends must agree on
+/** The plain Lloyd oracle at a fixed k. */
+KMeansRun
+runLloyd(const std::vector<Point> &points,
+         const std::vector<double> &weights, int k, uint64_t seed)
+{
+    Rng rng(seed);
+    return reference::lloydRun(points, weights, k, 30, rng);
+}
+
+/** Bitwise equality of everything both clusterers must agree on
  * (stats are the one field allowed to differ). */
 void
 expectRunsEqual(const KMeansRun &a, const KMeansRun &b)
@@ -101,7 +112,7 @@ expectClusteringsEqual(const Clustering &a, const Clustering &b)
     EXPECT_EQ(a.distortion, b.distortion);   // bitwise
 }
 
-// --- kmeansRun: pruned vs lloyd on synthetic populations ----------
+// --- kmeansRun: pruned vs Lloyd oracle on synthetic populations ---
 
 TEST(KMeansDiff, PrunedMatchesLloydAcrossKAndSeeds)
 {
@@ -110,10 +121,8 @@ TEST(KMeansDiff, PrunedMatchesLloydAcrossKAndSeeds)
     std::vector<double> weights = makeWeights(gen, points.size());
     for (uint64_t seed : {1ull, 42ull, 0x5eedull}) {
         for (int k = 1; k <= 10; ++k) {
-            KMeansRun lloyd = runWith(points, weights, k, seed,
-                                      KMeansBackend::Lloyd);
-            KMeansRun pruned = runWith(points, weights, k, seed,
-                                       KMeansBackend::Pruned);
+            KMeansRun lloyd = runLloyd(points, weights, k, seed);
+            KMeansRun pruned = runPruned(points, weights, k, seed);
             SCOPED_TRACE("k=" + std::to_string(k) +
                          " seed=" + std::to_string(seed));
             expectRunsEqual(lloyd, pruned);
@@ -131,8 +140,8 @@ TEST(KMeansDiff, TightClustersWithOverlap)
     std::vector<double> weights(points.size(), 1.0);
     for (int k : {2, 5, 8}) {
         expectRunsEqual(
-            runWith(points, weights, k, 7, KMeansBackend::Lloyd),
-            runWith(points, weights, k, 7, KMeansBackend::Pruned));
+            runLloyd(points, weights, k, 7),
+            runPruned(points, weights, k, 7));
     }
 }
 
@@ -143,7 +152,7 @@ TEST(KMeansDiff, StatsAccountForEveryAssignmentDecision)
     std::vector<double> weights = makeWeights(gen, points.size());
 
     KMeansRun lloyd =
-        runWith(points, weights, 6, 11, KMeansBackend::Lloyd);
+        runLloyd(points, weights, 6, 11);
     EXPECT_EQ(lloyd.stats.fullScans, lloyd.stats.assignSteps);
     EXPECT_EQ(lloyd.stats.boundPrunes, 0u);
     EXPECT_EQ(lloyd.stats.tightenPrunes, 0u);
@@ -151,7 +160,7 @@ TEST(KMeansDiff, StatsAccountForEveryAssignmentDecision)
     EXPECT_EQ(lloyd.stats.pruneRate(), 0.0);
 
     KMeansRun pruned =
-        runWith(points, weights, 6, 11, KMeansBackend::Pruned);
+        runPruned(points, weights, 6, 11);
     EXPECT_EQ(pruned.stats.assignSteps, lloyd.stats.assignSteps);
     EXPECT_EQ(pruned.stats.boundPrunes + pruned.stats.tightenPrunes +
                   pruned.stats.memoHits + pruned.stats.fullScans,
@@ -171,23 +180,18 @@ TEST(KMeansDiff, ThreadCountInvariant)
     std::vector<double> weights = makeWeights(gen, points.size());
 
     sched::ThreadPool serial(1);
-    for (KMeansBackend backend :
-         {KMeansBackend::Lloyd, KMeansBackend::Pruned}) {
-        KMeansRun base =
-            runWith(points, weights, 7, 3, backend, &serial);
-        for (unsigned threads :
-             {4u, std::max(1u, std::thread::hardware_concurrency())}) {
-            sched::ThreadPool pool(threads);
-            KMeansRun par =
-                runWith(points, weights, 7, 3, backend, &pool);
-            expectRunsEqual(base, par);
-            // The work counters are plain sums — invariant too.
-            EXPECT_EQ(base.stats.boundPrunes, par.stats.boundPrunes);
-            EXPECT_EQ(base.stats.tightenPrunes,
-                      par.stats.tightenPrunes);
-            EXPECT_EQ(base.stats.memoHits, par.stats.memoHits);
-            EXPECT_EQ(base.stats.fullScans, par.stats.fullScans);
-        }
+    KMeansRun base = runPruned(points, weights, 7, 3, &serial);
+    expectRunsEqual(runLloyd(points, weights, 7, 3), base);
+    for (unsigned threads :
+         {4u, std::max(1u, std::thread::hardware_concurrency())}) {
+        sched::ThreadPool pool(threads);
+        KMeansRun par = runPruned(points, weights, 7, 3, &pool);
+        expectRunsEqual(base, par);
+        // The work counters are plain sums — invariant too.
+        EXPECT_EQ(base.stats.boundPrunes, par.stats.boundPrunes);
+        EXPECT_EQ(base.stats.tightenPrunes, par.stats.tightenPrunes);
+        EXPECT_EQ(base.stats.memoHits, par.stats.memoHits);
+        EXPECT_EQ(base.stats.fullScans, par.stats.fullScans);
     }
 }
 
@@ -198,16 +202,16 @@ TEST(KMeansDiff, AllCoincidentPointsForceReseedPath)
     // Every point identical: seeding degenerates to the duplicate
     // path, ties all resolve to centroid 0, and the k-1 duplicate
     // clusters go empty — exercising the re-seed RNG draws, which
-    // must advance identically on both backends.
+    // must advance identically in both clusterers.
     std::vector<Point> points(40, Point{});
     for (Point &p : points)
         p.fill(3.25);
     std::vector<double> weights(points.size(), 2.0);
     for (int k : {1, 3, 5}) {
         KMeansRun lloyd =
-            runWith(points, weights, k, 99, KMeansBackend::Lloyd);
+            runLloyd(points, weights, k, 99);
         KMeansRun pruned =
-            runWith(points, weights, k, 99, KMeansBackend::Pruned);
+            runPruned(points, weights, k, 99);
         expectRunsEqual(lloyd, pruned);
         EXPECT_EQ(lloyd.distortion, 0.0);
         // Ties go to the lowest index: one carrier, k-1 empties.
@@ -229,9 +233,9 @@ TEST(KMeansDiff, TwoValuePopulationLeavesEmptyClusters)
     }
     std::vector<double> weights(points.size(), 1.0);
     KMeansRun lloyd =
-        runWith(points, weights, 4, 5, KMeansBackend::Lloyd);
+        runLloyd(points, weights, 4, 5);
     KMeansRun pruned =
-        runWith(points, weights, 4, 5, KMeansBackend::Pruned);
+        runPruned(points, weights, 4, 5);
     expectRunsEqual(lloyd, pruned);
     size_t empty = 0;
     for (double w : lloyd.clusterWeight)
@@ -243,10 +247,8 @@ TEST(KMeansDiff, SinglePoint)
 {
     std::vector<Point> points(1, Point{});
     points[0].fill(0.5);
-    KMeansRun lloyd = runWith(points, {7.0}, 1, 1,
-                              KMeansBackend::Lloyd);
-    KMeansRun pruned = runWith(points, {7.0}, 1, 1,
-                               KMeansBackend::Pruned);
+    KMeansRun lloyd = runLloyd(points, {7.0}, 1, 1);
+    KMeansRun pruned = runPruned(points, {7.0}, 1, 1);
     expectRunsEqual(lloyd, pruned);
     EXPECT_EQ(lloyd.assignment[0], 0);
     EXPECT_EQ(lloyd.distortion, 0.0);
@@ -278,13 +280,9 @@ TEST(KMeansDiff, ClusterPointsBackendsMatchBitwise)
         std::vector<Point> points = makePoints(gen, groups, 30, 0.1);
         std::vector<double> weights =
             makeWeights(gen, points.size());
-        ClusterOptions lloyd_opts, pruned_opts;
-        lloyd_opts.backend = KMeansBackend::Lloyd;
-        pruned_opts.backend = KMeansBackend::Pruned;
         Clustering lloyd =
-            simpoint::clusterPoints(points, weights, lloyd_opts);
-        Clustering pruned =
-            simpoint::clusterPoints(points, weights, pruned_opts);
+            reference::lloydClusterPoints(points, weights);
+        Clustering pruned = simpoint::clusterPoints(points, weights);
         SCOPED_TRACE("groups=" + std::to_string(groups));
         expectClusteringsEqual(lloyd, pruned);
         EXPECT_GT(pruned.stats.pruneRate(), 0.0);
@@ -299,14 +297,12 @@ TEST(KMeansDiff, PopulationSmallerThanMaxK)
     Rng gen(606);
     std::vector<Point> points = makePoints(gen, 3, 1, 0.0);
     std::vector<double> weights(points.size(), 1.0);
-    ClusterOptions lloyd_opts, pruned_opts;
-    lloyd_opts.backend = KMeansBackend::Lloyd;
-    pruned_opts.backend = KMeansBackend::Pruned;
-    lloyd_opts.maxK = pruned_opts.maxK = 10;
+    ClusterOptions options;
+    options.maxK = 10;
     Clustering lloyd =
-        simpoint::clusterPoints(points, weights, lloyd_opts);
+        reference::lloydClusterPoints(points, weights, options);
     Clustering pruned =
-        simpoint::clusterPoints(points, weights, pruned_opts);
+        simpoint::clusterPoints(points, weights, options);
     expectClusteringsEqual(lloyd, pruned);
     EXPECT_LE(lloyd.k, 3);
 }
@@ -329,14 +325,10 @@ TEST_P(KMeansWorkloadTest, ExplorationMatchesLloydBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine engine(app.db, FeatureBackend::Flat);
+    FeatureEngine engine(app.db);
 
-    ClusterOptions lloyd_opts, pruned_opts;
-    lloyd_opts.backend = KMeansBackend::Lloyd;
-    pruned_opts.backend = KMeansBackend::Pruned;
-    Exploration lloyd = exploreConfigs(app.db, lloyd_opts, 0, &engine);
-    Exploration pruned =
-        exploreConfigs(app.db, pruned_opts, 0, &engine);
+    Exploration lloyd = reference::exploreConfigs(app.db);
+    Exploration pruned = exploreConfigs(app.db, {}, 0, &engine);
 
     ASSERT_EQ(lloyd.results.size(), pruned.results.size());
     for (size_t i = 0; i < lloyd.results.size(); ++i) {
@@ -355,7 +347,7 @@ TEST_P(KMeansWorkloadTest, ExplorationMatchesLloydBitwise)
                   projectedSpi(app.db, rp.selection));
     }
 
-    // Both backends decided the same number of assignments; the
+    // Both clusterers decided the same number of assignments; the
     // pruned one skipped a nonzero share of the k-way scans.
     KMeansStats ls = lloyd.clusterStats();
     KMeansStats ps = pruned.clusterStats();
@@ -370,12 +362,11 @@ TEST_P(KMeansWorkloadTest, PrunedExplorationIsThreadCountInvariant)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine engine(app.db, FeatureBackend::Flat);
+    FeatureEngine engine(app.db);
 
     auto explore_with = [&](unsigned threads) {
         sched::ThreadPool pool(threads);
         ClusterOptions options;
-        options.backend = KMeansBackend::Pruned;
         options.pool = &pool;
         return exploreConfigs(app.db, options, 0, &engine);
     };
@@ -413,25 +404,6 @@ INSTANTIATE_TEST_SUITE_P(
             out += std::isalnum((unsigned char)c) ? c : '_';
         return out;
     });
-
-// --- Backend selection --------------------------------------------
-
-TEST(KMeansBackendSelect, NamesRoundTrip)
-{
-    EXPECT_STREQ(simpoint::kmeansBackendName(KMeansBackend::Lloyd),
-                 "lloyd");
-    EXPECT_STREQ(simpoint::kmeansBackendName(KMeansBackend::Pruned),
-                 "pruned");
-}
-
-TEST(KMeansBackendSelect, DefaultIsAValidBackend)
-{
-    // The process-wide default is env-dependent (GT_KMEANS); it must
-    // be one of the two real backends either way.
-    KMeansBackend b = simpoint::defaultKMeansBackend();
-    EXPECT_TRUE(b == KMeansBackend::Lloyd ||
-                b == KMeansBackend::Pruned);
-}
 
 } // anonymous namespace
 } // namespace gt::core

@@ -2,9 +2,10 @@
  * @file
  * Batched SoA memory-trace pipeline tests: the MemTraceSink's
  * chunking contract, CacheModel's bulk consumer against the
- * per-access oracle, and end-to-end GT-Pin batch-vs-callback
- * differentials — the batch backend must be bitwise identical to the
- * retained callback oracle at every thread count.
+ * per-access oracle, and end-to-end GT-Pin differentials against the
+ * reference interpreter (tests/reference), which delivers every
+ * access the moment it executes — the batched stack must be bitwise
+ * identical to it at every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,8 @@
 #include "gtpin/cache_sim.hh"
 #include "gtpin/tools.hh"
 #include "isa/builder.hh"
-#include "ocl/runtime.hh"
+#include "ocl/driver.hh"
+#include "reference/interpreter.hh"
 #include "sched/thread_pool.hh"
 #include "workloads/templates.hh"
 
@@ -206,21 +208,41 @@ class MemTraceExecTest : public ::testing::Test
         return b.finish();
     }
 
-    gpu::ExecProfile
-    runBatched(const KernelBinary &bin, uint64_t gws, size_t chunk,
-               std::vector<size_t> &sizes, std::vector<Rec> &recs)
+    gpu::Dispatch
+    dispatchOf(const KernelBinary &bin, uint64_t gws) const
     {
         gpu::Dispatch d;
         d.binary = &bin;
         d.globalSize = gws;
         d.simdWidth = 16;
         d.args = {(uint32_t)base};
+        return d;
+    }
+
+    gpu::ExecProfile
+    runBatched(const KernelBinary &bin, uint64_t gws, size_t chunk,
+               std::vector<size_t> &sizes, std::vector<Rec> &recs)
+    {
         exec.setMemTraceChunk(chunk);
-        return exec.run(d, gpu::Executor::Mode::Full, nullptr, {},
-                        [&](const MemBatch &b) {
+        return exec.run(dispatchOf(bin, gws), gpu::Executor::Mode::Full,
+                        nullptr, [&](const MemBatch &b) {
                             sizes.push_back(b.count);
                             unpack(b, recs);
                         });
+    }
+
+    /** The same dispatch's accesses as the reference interpreter
+     * delivers them, one at a time. */
+    std::vector<Rec>
+    runReference(const KernelBinary &bin, uint64_t gws)
+    {
+        std::vector<Rec> recs;
+        reference::Interpreter(config, memory)
+            .run(dispatchOf(bin, gws), gpu::Executor::Mode::Full, nullptr,
+                 [&](uint64_t addr, uint32_t bytes, bool is_write) {
+                     recs.push_back({addr, bytes, is_write});
+                 });
+        return recs;
     }
 
     gpu::DeviceConfig config;
@@ -266,16 +288,7 @@ TEST_F(MemTraceExecTest, DispatchWithoutSendsDeliversNothing)
 
     std::vector<size_t> sizes;
     std::vector<Rec> recs;
-    gpu::Dispatch d;
-    d.binary = &bin;
-    d.globalSize = 32;
-    d.simdWidth = 16;
-    exec.setMemTraceChunk(8);
-    exec.run(d, gpu::Executor::Mode::Full, nullptr, {},
-             [&](const MemBatch &bch) {
-                 sizes.push_back(bch.count);
-                 unpack(bch, recs);
-             });
+    runBatched(bin, 32, 8, sizes, recs);
     EXPECT_TRUE(sizes.empty());
     EXPECT_TRUE(recs.empty());
 }
@@ -283,7 +296,7 @@ TEST_F(MemTraceExecTest, DispatchWithoutSendsDeliversNothing)
 TEST_F(MemTraceExecTest, LocalSendsExcludedIdenticallyToOracle)
 {
     // One local store, one local load, one global store per lane:
-    // only the global send may appear in the trace, in both modes.
+    // only the global send may appear in the trace, batched or not.
     KernelBuilder b("slm", 1);
     Reg a = b.reg(), v = b.reg(), g = b.reg();
     b.shl(a, b.globalIds(), imm(2), 16);
@@ -299,52 +312,26 @@ TEST_F(MemTraceExecTest, LocalSendsExcludedIdenticallyToOracle)
     std::vector<Rec> batch_recs;
     runBatched(bin, 16, 8, sizes, batch_recs);
 
-    std::vector<Rec> oracle_recs;
-    gpu::Dispatch d;
-    d.binary = &bin;
-    d.globalSize = 16;
-    d.simdWidth = 16;
-    d.args = {(uint32_t)base};
-    exec.run(d, gpu::Executor::Mode::Full, nullptr,
-             [&](uint64_t addr, uint32_t bytes, bool is_write) {
-                 oracle_recs.push_back({addr, bytes, is_write});
-             });
-
     ASSERT_EQ(batch_recs.size(), 16u); // global stores only
     for (uint32_t lane = 0; lane < 16; ++lane)
         EXPECT_EQ(batch_recs[lane], (Rec{base + lane * 4, 4, true}));
-    EXPECT_EQ(batch_recs, oracle_recs);
+    EXPECT_EQ(batch_recs, runReference(bin, 16));
 }
 
 TEST_F(MemTraceExecTest, BothBackendsEmitIdenticalTraces)
 {
-    // The Switch and Uops interpreters share the sink plumbing; both
-    // must produce the same ordered trace as the callback oracle.
+    // The executor's batched trace must carry exactly the ordered
+    // accesses the reference interpreter delivers one by one.
     KernelBinary bin = storeKernel();
-    for (auto backend : {gpu::Executor::Backend::Switch,
-                         gpu::Executor::Backend::Uops}) {
-        exec.setBackend(backend);
-        std::vector<size_t> sizes;
-        std::vector<Rec> batch_recs, oracle_recs;
-        runBatched(bin, 48, 7, sizes, batch_recs);
-
-        gpu::Dispatch d;
-        d.binary = &bin;
-        d.globalSize = 48;
-        d.simdWidth = 16;
-        d.args = {(uint32_t)base};
-        exec.run(d, gpu::Executor::Mode::Full, nullptr,
-                 [&](uint64_t addr, uint32_t bytes, bool is_write) {
-                     oracle_recs.push_back({addr, bytes, is_write});
-                 });
-        EXPECT_EQ(batch_recs, oracle_recs)
-            << gpu::Executor::backendName(backend);
-    }
+    std::vector<size_t> sizes;
+    std::vector<Rec> batch_recs;
+    runBatched(bin, 48, 7, sizes, batch_recs);
+    EXPECT_EQ(batch_recs, runReference(bin, 48));
 }
 
 // --- end-to-end GT-Pin differential ------------------------------------
 
-/** Counters one profiled stack produces; must be mode-invariant. */
+/** Counters one profiled stack produces; must match the oracle's. */
 struct StackResult
 {
     uint64_t hits, misses, writebacks;
@@ -353,56 +340,98 @@ struct StackResult
 };
 
 /**
- * Build a private driver + GT-Pin stack in @p mode, dispatch template
- * @p tname twice (256 then 512 items), and collect every counter.
+ * A private driver + GT-Pin stack with a cache simulator and
+ * trace-buffer tools attached, over one kernel of template @p tname
+ * and one 1 MB buffer bound to every argument.
  */
-StackResult
-runStack(const std::string &tname, GtPin::MemTraceMode mode)
+class Stack
 {
-    workloads::TemplateJit jit;
-    gpu::TrialConfig trial;
-    trial.noiseSigma = 0.0;
-    ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, trial);
+  public:
+    explicit Stack(const std::string &tname,
+                   uint64_t cache_bytes = 64 * 1024)
+        : driver(gpu::DeviceConfig::hd4000(), jit, quietTrial()),
+          cache(cache_bytes, 16, 64),
+          ref(driver.config(), driver.memory())
+    {
+        pin.addTool(&cache);
+        pin.addTool(&mem);
+        pin.addTool(&bb);
+        pin.attach(driver);
+        isa::KernelSource src;
+        src.name = tname + "_mt";
+        src.templateName = tname;
+        kernel = driver.buildKernel(src);
+        uint64_t buf = driver.memory().allocate(1 << 20);
+        args.assign(driver.binary(kernel).numArgs, (uint32_t)buf);
+    }
 
-    CacheSimTool cache(64 * 1024, 16, 64);
+    /** Dispatch @p global_size items through the production stack. */
+    ocl::DispatchResult
+    run(uint64_t global_size)
+    {
+        return driver.execute(kernel, global_size, 16, args);
+    }
+
+    /** The same dispatch on the reference interpreter, each access
+     * fed to the cache model's per-access oracle as it happens. */
+    ocl::DispatchResult
+    runReference(uint64_t global_size)
+    {
+        return reference::executeOnDriver(
+            driver, ref, kernel, global_size, 16, args,
+            [this](uint64_t addr, uint32_t bytes, bool is_write) {
+                cache.cache().access(addr, bytes, is_write);
+            });
+    }
+
+    StackResult
+    result() const
+    {
+        return {cache.cache().hits(), cache.cache().misses(),
+                cache.cache().writebacks(), mem.totalBytesRead(),
+                mem.totalBytesWritten(), bb.totalDynInstrs()};
+    }
+
+  private:
+    static gpu::TrialConfig
+    quietTrial()
+    {
+        gpu::TrialConfig trial;
+        trial.noiseSigma = 0.0;
+        return trial;
+    }
+
+    workloads::TemplateJit jit;
+    ocl::GpuDriver driver;
+    CacheSimTool cache;
     MemBytesTool mem;
     BasicBlockCounterTool bb;
     GtPin pin;
-    pin.setMemTraceMode(mode);
-    pin.addTool(&cache);
-    pin.addTool(&mem);
-    pin.addTool(&bb);
-    pin.attach(driver);
+    reference::Interpreter ref;
+    uint32_t kernel = 0;
+    std::vector<uint32_t> args;
+};
 
-    ocl::ClRuntime rt(driver);
-    ocl::Context ctx = rt.createContext();
-    ocl::CommandQueue q = rt.createCommandQueue(ctx);
-    isa::KernelSource src;
-    src.name = tname + "_mt";
-    src.templateName = tname;
-    ocl::Program prog = rt.createProgramWithSource(ctx, {src});
-    rt.buildProgram(prog);
-    ocl::Kernel k = rt.createKernel(prog, src.name);
-    ocl::Mem buf = rt.createBuffer(ctx, 1 << 20);
-    const KernelBinary &bin = driver.binary(0);
-    for (uint32_t a = 0; a < bin.numArgs; ++a)
-        rt.setKernelArg(k, a, buf);
-    rt.enqueueNDRangeKernel(q, k, 256);
-    rt.enqueueNDRangeKernel(q, k, 512);
-    rt.finish(q);
-    pin.detach();
-
-    return {cache.cache().hits(), cache.cache().misses(),
-            cache.cache().writebacks(), mem.totalBytesRead(),
-            mem.totalBytesWritten(), bb.totalDynInstrs()};
+/** Profile template @p tname twice (256 then 512 items) through the
+ * production stack, or through the reference interpreter. */
+StackResult
+runStack(const std::string &tname, bool reference)
+{
+    Stack stack(tname);
+    for (uint64_t gws : {256u, 512u}) {
+        if (reference)
+            stack.runReference(gws);
+        else
+            stack.run(gws);
+    }
+    return stack.result();
 }
 
 TEST(GtPinMemTrace, BatchBitwiseIdenticalToCallbackOracle)
 {
     for (const char *tname : {"stream", "blur", "hash", "histogram"}) {
-        StackResult callback =
-            runStack(tname, GtPin::MemTraceMode::Callback);
-        StackResult batch = runStack(tname, GtPin::MemTraceMode::Batch);
+        StackResult callback = runStack(tname, true);
+        StackResult batch = runStack(tname, false);
         EXPECT_EQ(batch, callback) << tname;
         EXPECT_GT(batch.hits + batch.misses, 0u) << tname;
     }
@@ -418,15 +447,13 @@ TEST(GtPinMemTrace, ParallelStacksMatchSerialBitwise)
                                              "blend"};
     std::vector<StackResult> serial(tnames.size());
     for (size_t i = 0; i < tnames.size(); ++i)
-        serial[i] = runStack(tnames[i], GtPin::MemTraceMode::Batch);
+        serial[i] = runStack(tnames[i], false);
 
     std::vector<StackResult> parallel(tnames.size());
     sched::ThreadPool pool(4);
     pool.parallelFor(
         tnames.size(),
-        [&](size_t i) {
-            parallel[i] = runStack(tnames[i], GtPin::MemTraceMode::Batch);
-        },
+        [&](size_t i) { parallel[i] = runStack(tnames[i], false); },
         1);
 
     for (size_t i = 0; i < tnames.size(); ++i)
@@ -435,56 +462,15 @@ TEST(GtPinMemTrace, ParallelStacksMatchSerialBitwise)
 
 TEST(GtPinMemTrace, ProfilesIdenticalAcrossModes)
 {
-    // The DispatchResult profile (executor ground truth) must not
-    // depend on the trace delivery mode either.
-    auto profile_of = [](GtPin::MemTraceMode mode) {
-        workloads::TemplateJit jit;
-        gpu::TrialConfig trial;
-        trial.noiseSigma = 0.0;
-        ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, trial);
-        CacheSimTool cache;
-        GtPin pin;
-        pin.setMemTraceMode(mode);
-        pin.addTool(&cache);
-        pin.attach(driver);
-
-        ocl::ClRuntime rt(driver);
-        ocl::Context ctx = rt.createContext();
-        ocl::CommandQueue q = rt.createCommandQueue(ctx);
-        isa::KernelSource src;
-        src.name = "prof";
-        src.templateName = "nbody";
-        ocl::Program prog = rt.createProgramWithSource(ctx, {src});
-        rt.buildProgram(prog);
-        ocl::Kernel k = rt.createKernel(prog, "prof");
-        ocl::Mem buf = rt.createBuffer(ctx, 1 << 20);
-        const KernelBinary &bin = driver.binary(0);
-        for (uint32_t a = 0; a < bin.numArgs; ++a)
-            rt.setKernelArg(k, a, buf);
-
-        ocl::DispatchResult last;
-        class Grab : public ocl::ApiObserver
-        {
-          public:
-            explicit Grab(ocl::DispatchResult &out) : out(out) {}
-            void
-            onDispatchExecuted(const ocl::DispatchResult &r) override
-            {
-                out = r;
-            }
-            ocl::DispatchResult &out;
-        } grab(last);
-        rt.addObserver(&grab);
-        rt.enqueueNDRangeKernel(q, k, 256);
-        rt.finish(q);
-        rt.removeObserver(&grab);
-        pin.detach();
-        return last;
+    // The DispatchResult profile (executor ground truth) of a traced
+    // dispatch must match the reference interpreter's.
+    auto profile_of = [](bool reference) {
+        Stack stack("nbody", 4ull << 20);
+        return reference ? stack.runReference(256) : stack.run(256);
     };
 
-    ocl::DispatchResult callback =
-        profile_of(GtPin::MemTraceMode::Callback);
-    ocl::DispatchResult batch = profile_of(GtPin::MemTraceMode::Batch);
+    ocl::DispatchResult callback = profile_of(true);
+    ocl::DispatchResult batch = profile_of(false);
     EXPECT_EQ(batch.profile.dynInstrs, callback.profile.dynInstrs);
     EXPECT_EQ(batch.profile.bytesRead, callback.profile.bytesRead);
     EXPECT_EQ(batch.profile.bytesWritten,

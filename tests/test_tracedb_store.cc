@@ -1,13 +1,15 @@
 /**
  * @file
- * Columnar trace-store tests: the on-disk backend must be bitwise
- * identical to the in-memory oracle on every accessor, the varint
- * encoder must round-trip its continuation boundaries exactly, and
- * truncated or corrupt files must fail with FatalError, never a
- * wild read — on synthetic traces, on every builtin kernel
- * template, and end-to-end through exploreConfigs at 1, 4, and
- * hardware thread counts.
+ * Columnar trace-store tests: every accessor of a sealed database
+ * must be bitwise identical to the TraceDatabase::Builder's resident
+ * rows it was sealed from (the oracle), the varint encoder must
+ * round-trip its continuation boundaries exactly, and truncated or
+ * corrupt files must fail with FatalError, never a wild read — on
+ * synthetic traces, on every builtin kernel template, and end-to-end
+ * through exploreConfigs at 1, 4, and hardware thread counts.
  */
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "core/pipeline.hh"
 #include "core/trace_db.hh"
 #include "core/trace_store.hh"
+#include "gtpin/tools.hh"
 #include "ocl/runtime.hh"
 #include "workloads/templates.hh"
 #include "workloads/workload.hh"
@@ -212,24 +215,28 @@ expectProfilesEqual(const gtpin::DispatchProfile &a,
     EXPECT_EQ(a.bytesWritten, b.bytesWritten);
 }
 
-/** Every public accessor, both backends, bitwise. */
+/** Every public accessor of @p col against the builder @p rows it
+ * was sealed from, bitwise. */
 void
-expectDatabasesEqual(const TraceDatabase &mem,
+expectDatabasesEqual(const TraceDatabase::Builder &rows,
                      const TraceDatabase &col)
 {
-    ASSERT_EQ(mem.numDispatches(), col.numDispatches());
-    EXPECT_EQ(mem.totalInstrs(), col.totalInstrs());
-    EXPECT_EQ(mem.totalSeconds(), col.totalSeconds()); // bitwise
-    EXPECT_EQ(mem.numSyncEpochs(), col.numSyncEpochs());
-    if (mem.totalInstrs() > 0)
-        EXPECT_EQ(mem.measuredSpi(), col.measuredSpi()); // bitwise
+    const uint64_t n = rows.numAppended();
+    ASSERT_EQ(n, col.numDispatches());
+    EXPECT_EQ(rows.totalInstrs(), col.totalInstrs());
+    EXPECT_EQ(rows.totalSeconds(), col.totalSeconds()); // bitwise
+    EXPECT_EQ(n > 0 ? rows.syncEpoch(n - 1) + 1 : 0,
+              col.numSyncEpochs());
+    if (rows.totalInstrs() > 0) {
+        EXPECT_EQ(rows.totalSeconds() / (double)rows.totalInstrs(),
+                  col.measuredSpi()); // bitwise
+    }
 
-    const uint64_t n = mem.numDispatches();
     for (uint64_t i = 0; i < n; ++i) {
-        EXPECT_EQ(mem.seconds(i), col.seconds(i)); // bitwise
-        EXPECT_EQ(mem.secondsData()[i], col.secondsData()[i]);
-        EXPECT_EQ(mem.syncEpoch(i), col.syncEpoch(i));
-        expectProfilesEqual(mem.profileAt(i), col.profileAt(i));
+        EXPECT_EQ(rows.seconds(i), col.seconds(i)); // bitwise
+        EXPECT_EQ(rows.seconds(i), col.secondsData()[i]);
+        EXPECT_EQ(rows.syncEpoch(i), col.syncEpoch(i));
+        expectProfilesEqual(rows.profileAt(i), col.profileAt(i));
     }
 
     // Ranges of every small width from every start: crosses every
@@ -237,32 +244,44 @@ expectDatabasesEqual(const TraceDatabase &mem,
     for (uint64_t width : {0u, 1u, 2u, 3u, 4u, 7u, 16u, 63u}) {
         for (uint64_t first = 0; first < n; ++first) {
             uint64_t last = std::min(n - 1, first + width);
-            EXPECT_EQ(mem.rangeInstrs(first, last),
+            EXPECT_EQ(rows.rangeInstrs(first, last),
                       col.rangeInstrs(first, last));
-            EXPECT_EQ(mem.rangeSeconds(first, last),
+            EXPECT_EQ(rows.rangeSeconds(first, last),
                       col.rangeSeconds(first, last)); // bitwise
         }
     }
     if (n > 0) {
-        EXPECT_EQ(mem.rangeInstrs(0, n - 1), mem.totalInstrs());
+        EXPECT_EQ(rows.rangeInstrs(0, n - 1), rows.totalInstrs());
         EXPECT_EQ(col.rangeInstrs(0, n - 1), col.totalInstrs());
     }
 }
 
+/** The joined rows of @p t, fed through the streaming builder. */
+TraceDatabase::Builder
+buildRows(const SyntheticTrace &t)
+{
+    TraceDatabase::Builder rows;
+    for (const auto &call : t.calls)
+        rows.observeCall(call);
+    for (size_t i = 0; i < t.profiles.size(); ++i)
+        rows.append(t.profiles[i], t.timings[i]);
+    return rows;
+}
+
 TraceDatabase
-buildFrom(const SyntheticTrace &t, TraceDbBackend backend,
+buildFrom(const SyntheticTrace &t,
           uint32_t block_size = trace_store::defaultBlockSize)
 {
     auto profiles = t.profiles; // build() consumes them
     return TraceDatabase::build(std::move(profiles), t.timings,
-                                t.calls, backend, block_size);
+                                t.calls, block_size);
 }
 
 TEST(TraceStore, EmptyWorkload)
 {
     setLogQuiet(true);
     SyntheticTrace t;
-    TraceDatabase db = buildFrom(t, TraceDbBackend::Columnar);
+    TraceDatabase db = buildFrom(t);
     EXPECT_EQ(db.numDispatches(), 0u);
     EXPECT_EQ(db.totalInstrs(), 0u);
     EXPECT_EQ(db.totalSeconds(), 0.0);
@@ -276,10 +295,8 @@ TEST(TraceStore, SingleDispatch)
 {
     setLogQuiet(true);
     SyntheticTrace t = makeTrace(1, 1);
-    TraceDatabase mem = buildFrom(t, TraceDbBackend::Mem);
-    TraceDatabase col = buildFrom(t, TraceDbBackend::Columnar);
-    expectDatabasesEqual(mem, col);
-    EXPECT_EQ(col.backend(), TraceDbBackend::Columnar);
+    TraceDatabase col = buildFrom(t);
+    expectDatabasesEqual(buildRows(t), col);
     EXPECT_GT(col.memoryFootprint().fileBytes, 0u);
     setLogQuiet(false);
 }
@@ -294,10 +311,10 @@ TEST_P(BlockSizeTest, SyntheticDifferentialBitwise)
     // 421 dispatches: prime, so it never divides evenly into blocks
     // and the last block is always partial.
     SyntheticTrace t = makeTrace(421, 13);
-    TraceDatabase mem = buildFrom(t, TraceDbBackend::Mem);
-    TraceDatabase col =
-        buildFrom(t, TraceDbBackend::Columnar, GetParam());
-    expectDatabasesEqual(mem, col);
+    TraceDatabase::Builder rows = buildRows(t);
+    expectDatabasesEqual(rows, buildFrom(t, GetParam()));
+    // Sealing mid-stream leaves the builder's rows intact.
+    expectDatabasesEqual(rows, rows.seal(GetParam()));
     setLogQuiet(false);
 }
 
@@ -315,22 +332,16 @@ TEST(TraceStore, FootprintShrinksAndIsAccounted)
 {
     setLogQuiet(true);
     SyntheticTrace t = makeTrace(4096, 32);
-    TraceDatabase mem = buildFrom(t, TraceDbBackend::Mem);
-    TraceDatabase col = buildFrom(t, TraceDbBackend::Columnar);
+    TraceDatabase::Builder rows = buildRows(t);
+    TraceDatabase col = rows.seal();
 
-    TraceDbFootprint fm = mem.memoryFootprint();
     TraceDbFootprint fc = col.memoryFootprint();
-    EXPECT_EQ(fm.fileBytes, 0u);
-    EXPECT_EQ(fm.residentBytes,
-              fm.recordBytes + fm.profileBytes + fm.columnBytes);
-    EXPECT_GT(fm.recordBytes, 0u);
-    EXPECT_GT(fm.profileBytes, 0u);
-
     EXPECT_GT(fc.fileBytes, 0u);
     EXPECT_GT(fc.profileBytes, 0u);
-    EXPECT_EQ(fc.recordBytes, 0u);
-    // The resident reduction is the point of the backend.
-    EXPECT_LT(fc.residentBytes, fm.residentBytes / 5);
+    EXPECT_EQ(fc.residentBytes, fc.columnBytes + fc.cacheBytes);
+    // The resident reduction against the builder's rows is the point
+    // of the store.
+    EXPECT_LT(fc.residentBytes, rows.memoryBytes() / 5);
     // Touch a profile: the thread cache now holds a decoded block.
     (void)col.profileAt(0);
     EXPECT_GT(col.memoryFootprint().cacheBytes, 0u);
@@ -341,13 +352,13 @@ TEST(TraceStore, ThreadCacheDropsSlotsOfDestroyedStores)
 {
     setLogQuiet(true);
     SyntheticTrace t = makeTrace(256, 16);
-    TraceDatabase live = buildFrom(t, TraceDbBackend::Columnar);
+    TraceDatabase live = buildFrom(t);
     (void)live.profileAt(0);
     uint64_t with_live = trace_store::threadCacheResidentBytes();
     EXPECT_GT(with_live, 0u);
 
     {
-        TraceDatabase dead = buildFrom(t, TraceDbBackend::Columnar);
+        TraceDatabase dead = buildFrom(t);
         (void)dead.profileAt(0);
         (void)dead.profileAt(200);
         // Two stores' decoded blocks coexist in this thread's cache.
@@ -360,8 +371,7 @@ TEST(TraceStore, ThreadCacheDropsSlotsOfDestroyedStores)
     EXPECT_EQ(trace_store::threadCacheResidentBytes(), with_live);
     expectProfilesEqual(live.profileAt(100), t.profiles[100]);
 
-    TraceDatabase mem = buildFrom(t, TraceDbBackend::Mem);
-    expectDatabasesEqual(mem, live);
+    expectDatabasesEqual(buildRows(t), live);
     setLogQuiet(false);
 }
 
@@ -369,8 +379,8 @@ TEST(TraceStore, ConcurrentReadersSeeIdenticalData)
 {
     setLogQuiet(true);
     SyntheticTrace t = makeTrace(300, 10);
-    TraceDatabase mem = buildFrom(t, TraceDbBackend::Mem);
-    TraceDatabase col = buildFrom(t, TraceDbBackend::Columnar, 8);
+    TraceDatabase::Builder rows = buildRows(t);
+    TraceDatabase col = buildFrom(t, 8);
 
     // Each thread walks a different stride so block decodes overlap
     // and interleave across the shared store.
@@ -379,10 +389,10 @@ TEST(TraceStore, ConcurrentReadersSeeIdenticalData)
             for (uint64_t i = pass; i < col.numDispatches();
                  i += stride) {
                 ASSERT_EQ(col.profileAt(i).instrs,
-                          mem.profileAt(i).instrs);
-                ASSERT_EQ(col.seconds(i), mem.seconds(i));
+                          rows.profileAt(i).instrs);
+                ASSERT_EQ(col.seconds(i), rows.seconds(i));
                 ASSERT_EQ(col.rangeInstrs(0, i),
-                          mem.rangeInstrs(0, i));
+                          rows.rangeInstrs(0, i));
             }
         }
     };
@@ -399,8 +409,14 @@ TEST(TraceStore, ConcurrentReadersSeeIdenticalData)
 class StoreFileTest : public ::testing::Test
 {
   protected:
+    /** A path private to this test and process: ctest -j runs the
+     * cases concurrently. */
     StoreFileTest()
-        : path(::testing::TempDir() + "tracedb_store_test.gtcol")
+        : path(::testing::TempDir() + "tracedb_store_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               "_" + std::to_string(::getpid()) + ".gtcol")
     {
     }
 
@@ -565,18 +581,13 @@ TEST_P(TemplateDiff, MemAndColumnarAgreeBitwise)
     rt.finish(q);
     pin.detach();
 
-    auto profiles = tool.takeProfiles();
-    auto copy = profiles;
-    TraceDatabase mem = TraceDatabase::build(
-        std::move(copy), tracer.kernelTimings(),
-        tracer.callStream(), TraceDbBackend::Mem);
+    SyntheticTrace t{tool.takeProfiles(), tracer.kernelTimings(),
+                     tracer.callStream()};
     // Block size 2: the three dispatches straddle a block boundary.
-    TraceDatabase col = TraceDatabase::build(
-        std::move(profiles), tracer.kernelTimings(),
-        tracer.callStream(), TraceDbBackend::Columnar, 2);
-    EXPECT_EQ(mem.numDispatches(), 3u);
-    EXPECT_EQ(mem.numSyncEpochs(), 2u);
-    expectDatabasesEqual(mem, col);
+    TraceDatabase col = buildFrom(t, 2);
+    EXPECT_EQ(col.numDispatches(), 3u);
+    EXPECT_EQ(col.numSyncEpochs(), 2u);
+    expectDatabasesEqual(buildRows(t), col);
     setLogQuiet(false);
 }
 
@@ -587,6 +598,32 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- end-to-end exploration --------------------------------------
 
+/** replayTrial()'s stack (same driver, tool set and tracer),
+ * returning the join's inputs instead of a sealed database. */
+SyntheticTrace
+replayInputs(const cfl::Recording &recording)
+{
+    workloads::TemplateJit jit;
+    ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, {});
+    gtpin::KernelProfileTool profile_tool;
+    gtpin::BasicBlockCounterTool bb_tool;
+    gtpin::OpcodeMixTool mix_tool;
+    gtpin::MemBytesTool mem_tool;
+    gtpin::GtPin pin;
+    pin.addTool(&profile_tool);
+    pin.addTool(&bb_tool);
+    pin.addTool(&mix_tool);
+    pin.addTool(&mem_tool);
+    pin.attach(driver);
+    ocl::ClRuntime runtime(driver);
+    cfl::ApiTracer tracer;
+    runtime.addObserver(&tracer);
+    cfl::replay(recording, runtime);
+    pin.detach();
+    return {profile_tool.takeProfiles(), tracer.kernelTimings(),
+            tracer.callStream()};
+}
+
 TEST(TraceStoreExplore, ExplorationBitwiseAcrossBackendsAndThreads)
 {
     setLogQuiet(true);
@@ -596,26 +633,26 @@ TEST(TraceStoreExplore, ExplorationBitwiseAcrossBackendsAndThreads)
     ProfiledApp app = profileApp(*w);
 
     gpu::TrialConfig trial; // profileApp's default
-    TraceDatabase mem =
-        replayTrial(app.recording, gpu::DeviceConfig::hd4000(),
-                    trial, TraceDbBackend::Mem);
     TraceDatabase col =
-        replayTrial(app.recording, gpu::DeviceConfig::hd4000(),
-                    trial, TraceDbBackend::Columnar);
-    expectDatabasesEqual(mem, col);
+        replayTrial(app.recording, gpu::DeviceConfig::hd4000(), trial);
+    TraceDatabase::Builder rows = buildRows(replayInputs(app.recording));
+    expectDatabasesEqual(rows, col);
 
     auto explore = [](const TraceDatabase &db, unsigned threads) {
         sched::ThreadPool pool(threads);
         simpoint::ClusterOptions options;
         options.pool = &pool;
-        FeatureEngine engine(db, FeatureBackend::Flat);
+        FeatureEngine engine(db);
         return exploreConfigs(db, options, 0, &engine);
     };
 
-    Exploration want = explore(mem, 1);
+    // A second seal of the same rows with other block boundaries must
+    // explore identically at every thread count.
+    Exploration want = explore(col, 1);
+    TraceDatabase resealed = rows.seal(16);
     for (unsigned threads :
          {1u, 4u, std::max(1u, std::thread::hardware_concurrency())}) {
-        Exploration got = explore(col, threads);
+        Exploration got = explore(resealed, threads);
         ASSERT_EQ(want.results.size(), got.results.size());
         for (size_t i = 0; i < want.results.size(); ++i) {
             const ConfigResult &a = want.results[i];

@@ -191,11 +191,26 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
 // Incremental interval division vs. buildIntervals(), 3 schemes x
 // feed granularities {1, 3, 256}.
 
+// gtest names each case after the parameter's object bytes, so the
+// case must hold no padding: padding bytes are indeterminate and made
+// the test names change from run to run. The scheme is therefore
+// stored widened to a full word.
 struct IntervalCase
 {
-    IntervalScheme scheme;
+    IntervalCase(IntervalScheme s, uint64_t t)
+        : schemeWord(static_cast<uint64_t>(s)), target(t)
+    {
+    }
+
+    IntervalScheme scheme() const
+    {
+        return static_cast<IntervalScheme>(schemeWord);
+    }
+
+    uint64_t schemeWord;
     uint64_t target;
 };
+static_assert(sizeof(IntervalCase) == 2 * sizeof(uint64_t));
 
 class IncrementalIntervalTest
     : public ::testing::TestWithParam<IntervalCase>
@@ -210,7 +225,7 @@ TEST_P(IncrementalIntervalTest, AppendMatchesBatchAtEveryChunk)
 
     for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
         TraceDatabase::Builder builder;
-        core::IncrementalIntervals inc(param.scheme, param.target);
+        core::IncrementalIntervals inc(param.scheme(), param.target);
         std::vector<Interval> prev;
         size_t prev_completed = 0;
         streamInputs(
@@ -228,7 +243,7 @@ TEST_P(IncrementalIntervalTest, AppendMatchesBatchAtEveryChunk)
                 std::vector<Interval> got = inc.snapshot();
                 expectSameIntervals(
                     got, core::buildIntervals(builder.seal(),
-                                              param.scheme,
+                                              param.scheme(),
                                               param.target));
                 // Completed intervals are final: the previous
                 // snapshot's completed prefix reappears unchanged.
@@ -539,8 +554,8 @@ TEST(ServeService, ConcurrentTenantsAgreeBitwise)
     service.refreshAll();
 
     ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.replays + stats.artifactHits, (uint64_t)tenants);
-    EXPECT_GE(stats.artifactHits, 1u);
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ(stats.artifactHits, (uint64_t)tenants - 1);
 
     WorkloadSession &first = service.session(ids[0], 0);
     for (unsigned t = 1; t < tenants; ++t) {

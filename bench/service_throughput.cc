@@ -25,9 +25,9 @@
  * scales) and last tenants' selections with a one-shot
  * selectSubset() over a sealed database and asserts bitwise identity
  * — and a pool-width sweep at widths {1, 4} repeats the oracle check
- * for evicted-on-drain services plus a direct evict-mid-stream /
- * rehydrate session, pinning the service's central contract in the
- * same binary that reports its speed.
+ * for services that evict every drained session plus a direct
+ * evict-mid-stream / rehydrate session, pinning the service's central
+ * contract in the same binary that reports its speed.
  *
  *     cd /path/to/repo && build/bench/service_throughput
  *
@@ -39,6 +39,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -256,8 +257,9 @@ runScale(unsigned tenant_count,
  * Selection determinism across pool widths, covering the evicted
  * and rehydrated lifecycles the scale runs only sample:
  *
- *  - an evict-on-drain service (every session answers from a memo
- *    sealed at eviction, databases reopen from the archive);
+ *  - a service with a session budget of 0, which evicts every
+ *    drained session (each answers from a memo sealed at eviction,
+ *    databases reopen from the archive);
  *  - a direct session evicted mid-stream whose tail rows force a
  *    rehydrate before the final refresh.
  *
@@ -275,7 +277,7 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
         sched::ThreadPool pool(width);
         serve::ServiceConfig cfg;
         cfg.pool = &pool;
-        cfg.evictOnDrain = true;
+        cfg.maxResidentSessions = 0; // evict every drained session
         cfg.archiveDir =
             benchArchiveDir("w" + std::to_string(width));
 
@@ -288,7 +290,7 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
             service.refreshAll();
             GT_ASSERT(service.stats().sessions.evictions ==
                           recordings.size(),
-                      "evict-on-drain sweep left sessions resident");
+                      "session budget 0 left sessions resident");
 
             std::vector<core::SubsetSelection> sels;
             for (size_t w = 0; w < recordings.size(); ++w) {
@@ -306,37 +308,22 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
         // Evict mid-stream, then rehydrate through the tail rows.
         const core::ProfiledApp &app =
             bench::profiledApp(benchApps[0]);
-        const uint64_t n = app.db.numDispatches();
-        std::vector<gtpin::DispatchProfile> profiles;
-        std::vector<cfl::KernelTiming> timings;
-        std::vector<std::pair<uint64_t, uint64_t>> epochs;
-        for (uint64_t d = 0; d < n; ++d) {
-            profiles.push_back(app.db.profileAt(d));
-            cfl::KernelTiming timing;
-            timing.seq = d;
-            timing.kernelName = profiles.back().kernelName;
-            timing.seconds = app.db.seconds(d);
-            timings.push_back(std::move(timing));
-            epochs.push_back({d, app.db.syncEpoch(d)});
+        std::vector<core::DispatchRecord> rows;
+        for (uint64_t d = 0; d < app.db.numDispatches(); ++d) {
+            rows.push_back({app.db.profileAt(d), app.db.seconds(d),
+                            app.db.syncEpoch(d)});
         }
-        const size_t half = (size_t)(n / 2);
-        auto slice = [](const auto &v, size_t from, size_t to) {
-            return std::decay_t<decltype(v)>(v.begin() + (long)from,
-                                             v.begin() + (long)to);
-        };
+        const std::span<const core::DispatchRecord> all(rows);
+        const size_t half = rows.size() / 2;
 
         serve::WorkloadSession session(benchApps[0], cfg, pool);
-        session.addDispatches(slice(profiles, 0, half),
-                              slice(timings, 0, half),
-                              slice(epochs, 0, half));
+        session.addDispatches(all.first(half));
         session.evict(benchArchiveDir("rehydrate-w" +
                                       std::to_string(width)) +
                       ".gtar");
         GT_ASSERT(session.isEvicted(),
                   "mid-stream eviction did not stick");
-        session.addDispatches(slice(profiles, half, (size_t)n),
-                              slice(timings, half, (size_t)n),
-                              slice(epochs, half, (size_t)n));
+        session.addDispatches(all.subspan(half));
         GT_ASSERT(!session.isEvicted(),
                   "tail rows did not rehydrate the session");
         GT_ASSERT(session.stats().rehydrations == 1,

@@ -202,10 +202,9 @@ main(int argc, char **argv)
     auto profiles = in.profiles;
     auto t0 = std::chrono::steady_clock::now();
     TraceDatabase::Builder mem;
-    for (const auto &call : in.calls)
-        mem.observeCall(call);
-    for (size_t i = 0; i < in.profiles.size(); ++i)
-        mem.append(std::move(profiles[i]), in.timings[i]);
+    for (core::DispatchRecord &row : TraceDatabase::join(
+             std::move(profiles), in.timings, in.calls))
+        mem.appendJoined(std::move(row));
     double mem_build_s = secondsSince(t0);
     profiles = in.profiles;
     t0 = std::chrono::steady_clock::now();

@@ -14,8 +14,8 @@
  *        honors GT_THREADS)
  *
  * With GT_SERVE=N set, the workload is instead recorded once and
- * submitted to N tenants of the streaming profiling service; the
- * report shows the shared-cache and incremental-refresh statistics.
+ * submitted to N tenants of the profiling service; the report shows
+ * the shared-cache and selection-refresh statistics.
  */
 
 #include <cstdlib>
@@ -58,8 +58,8 @@ profileWholeSuite()
 }
 
 /** GT_SERVE=N: submit @p app's recording to N tenants of the
- * streaming profiling service and report the shared-cache and
- * incremental-selection statistics. */
+ * profiling service and report the shared-cache and selection
+ * statistics. */
 int
 serveDemo(unsigned tenants, const workloads::Workload &app)
 {
@@ -118,8 +118,7 @@ serveDemo(unsigned tenants, const workloads::Workload &app)
                     fixed(s.speedup(), 1) + "x"});
     }
     sel.print(std::cout,
-              "Incrementally refreshed selections (tenant-0, "
-              "feature BB)");
+              "Refreshed selections (tenant-0, feature BB)");
     return 0;
 }
 
@@ -135,13 +134,12 @@ printUsage(std::ostream &os)
           "Environment:\n"
           "  GT_SERVE=N             Instead of one batch profile,\n"
           "                         record the workload and submit it\n"
-          "                         to N tenants of the streaming\n"
-          "                         profiling service: replays share\n"
-          "                         kernel plans and replay artifacts\n"
-          "                         by content hash, and selections\n"
-          "                         are refreshed incrementally —\n"
-          "                         bitwise identical to a one-shot\n"
-          "                         batch selection.\n"
+          "                         to N tenants of the profiling\n"
+          "                         service: replays share kernel\n"
+          "                         plans and replay artifacts by\n"
+          "                         content hash, and each session's\n"
+          "                         selections are bitwise identical\n"
+          "                         to a one-shot batch selection.\n"
           "  GT_THREADS=N           Worker threads for \"all\" and for\n"
           "                         service replays (default:\n"
           "                         hardware concurrency).\n";

@@ -56,13 +56,13 @@ namespace gt::core
 class DispatchFeatureCache
 {
   public:
-    /** Empty cache for streaming construction: appendDispatch() one
-     * dispatch at a time, refreshColumns() before querying. */
+    /** Empty cache for incremental construction: appendDispatch()
+     * one dispatch at a time, refreshColumns() before querying. */
     DispatchFeatureCache() = default;
 
     /** Batch construction: appends every dispatch of @p db, then
-     * refreshes — one code path with the streaming form, so the two
-     * are bitwise identical by construction. */
+     * refreshes — one code path with the incremental form, so the
+     * two are bitwise identical by construction. */
     explicit DispatchFeatureCache(const TraceDatabase &db);
 
     /**
@@ -79,13 +79,6 @@ class DispatchFeatureCache
      * appends. Cheap no-op when no new key was interned. Queries
      * (extract / projectInto) require fresh ranks; the service calls
      * this once per refresh, not per dispatch.
-     *
-     * Ranks shift as the key universe grows, but an interval's
-     * extracted vector and projected point depend only on its own
-     * dispatches' *keys*, whose projection rows are pure per-key
-     * functions — so points computed before a refresh stay bitwise
-     * valid after it. That invariant is what lets the incremental
-     * selection path cache prefix points across refreshes.
      */
     void refreshColumns();
 

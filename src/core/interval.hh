@@ -73,19 +73,19 @@ std::vector<Interval> buildIntervals(const TraceDatabase &db,
                                      uint64_t target_instrs = 0);
 
 /**
- * Streaming interval division: the same boundary logic as
- * buildIntervals(), maintained one dispatch at a time as a replay
- * drains. buildIntervals() is implemented on top of this class (feed
- * every dispatch, snapshot once), so the incremental and batch paths
- * cannot drift — the differential tests pin the equivalence across
- * schemes, targets, and arrival granularities.
+ * Incremental interval division: the same boundary logic as
+ * buildIntervals(), maintained one dispatch at a time as a session
+ * appends rows. buildIntervals() is implemented on top of this class
+ * (feed every dispatch, snapshot once), so the incremental and batch
+ * paths cannot drift — the differential tests pin the equivalence
+ * across schemes, targets, and chunk sizes.
  *
  * Closed intervals are final the moment the boundary passes them, so
  * a snapshot() costs one vector copy plus closing the open tail —
  * O(intervals), not O(dispatches). The exception is
  * ApproxInstructions with target_instrs == 0: there the chunk size
  * is derived from the *final* total instruction count, which a
- * stream cannot know, so snapshot() re-divides from retained
+ * prefix cannot know, so snapshot() re-divides from retained
  * per-dispatch columns (still bitwise equal to the batch result at
  * every prefix).
  */
@@ -112,13 +112,10 @@ class IncrementalIntervals
 
     /**
      * Intervals already closed by a boundary. These are final — a
-     * snapshot() at any later prefix returns them unchanged — which
-     * is what lets the incremental selection path keep per-interval
-     * points and the unique-value index for this prefix across
-     * refreshes. Always 0 for ApproxInstructions with target 0,
-     * where boundaries are only fixed by the final total (the
-     * snapshot rescan); consumers must not treat any prefix as
-     * stable there.
+     * snapshot() at any later prefix returns them unchanged. Always
+     * 0 for ApproxInstructions with target 0, where boundaries are
+     * only fixed by the final total (the snapshot rescan); no prefix
+     * is stable there.
      */
     size_t
     numCompleted() const

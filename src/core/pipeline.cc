@@ -8,41 +8,76 @@
 namespace gt::core
 {
 
+namespace
+{
+
+/**
+ * One profiled run's stack: a fresh driver with the GT-Pin tool set
+ * attached and the CoFluent tracer observing its runtime. The
+ * constructor is the one place the tool set is attached — native
+ * profiling and every replay carry identical instrumentation.
+ */
+struct InstrumentedRun
+{
+    InstrumentedRun(const gpu::DeviceConfig &config,
+                    const gpu::TrialConfig &trial,
+                    gpu::SharedPlanCache *plans = nullptr,
+                    gpu::SharedCheckpointCache *checkpoints = nullptr)
+        : driver(config, jit, trial), runtime(driver)
+    {
+        driver.setSharedCaches(plans, checkpoints);
+        pin.addTool(&profileTool);
+        pin.addTool(&bbTool);
+        pin.addTool(&mixTool);
+        pin.addTool(&memTool);
+        pin.attach(driver);
+        runtime.addObserver(&tracer);
+    }
+
+    // The tools, the GT-Pin attachment and the runtime hold each
+    // other's addresses.
+    InstrumentedRun(const InstrumentedRun &) = delete;
+    InstrumentedRun &operator=(const InstrumentedRun &) = delete;
+
+    /** The run's joined dispatch rows (consumes the profiles). */
+    std::vector<DispatchRecord>
+    takeRows()
+    {
+        return TraceDatabase::join(profileTool.takeProfiles(),
+                                   tracer.kernelTimings(),
+                                   tracer.callStream());
+    }
+
+    workloads::TemplateJit jit;
+    ocl::GpuDriver driver;
+    gtpin::KernelProfileTool profileTool;
+    gtpin::BasicBlockCounterTool bbTool;
+    gtpin::OpcodeMixTool mixTool;
+    gtpin::MemBytesTool memTool;
+    gtpin::GtPin pin; //!< detaches on destruction, before the tools
+    ocl::ClRuntime runtime;
+    cfl::ApiTracer tracer;
+};
+
+} // anonymous namespace
+
 ProfiledApp
 profileApp(const workloads::Workload &workload,
            const gpu::DeviceConfig &config,
            const gpu::TrialConfig &trial)
 {
-    workloads::TemplateJit jit;
-    ocl::GpuDriver driver(config, jit, trial);
-
-    gtpin::KernelProfileTool profile_tool;
-    gtpin::BasicBlockCounterTool bb_tool;
-    gtpin::OpcodeMixTool mix_tool;
-    gtpin::MemBytesTool mem_tool;
-
-    gtpin::GtPin pin;
-    pin.addTool(&profile_tool);
-    pin.addTool(&bb_tool);
-    pin.addTool(&mix_tool);
-    pin.addTool(&mem_tool);
-    pin.attach(driver);
-
-    ocl::ClRuntime runtime(driver);
-    cfl::ApiTracer tracer;
+    InstrumentedRun run(config, trial);
     cfl::Recorder recorder;
-    runtime.addObserver(&tracer);
-    runtime.addObserver(&recorder);
+    run.runtime.addObserver(&recorder);
 
-    workload.run(runtime);
+    workload.run(run.runtime);
 
     ProfiledApp app;
     app.name = workload.info().name;
-    app.db = TraceDatabase::build(profile_tool.takeProfiles(),
-                                  tracer.kernelTimings(),
-                                  tracer.callStream());
+    app.db = TraceDatabase::fromRows(run.takeRows());
     app.recording = recorder.take();
 
+    const cfl::ApiTracer &tracer = run.tracer;
     AppCharacterization &st = app.stats;
     st.totalApiCalls = tracer.totalCalls();
     st.fracKernel =
@@ -53,21 +88,19 @@ profileApp(const workloads::Workload &workload,
         tracer.categoryFraction(ocl::ApiCategory::Other);
 
     std::set<std::string> names;
-    for (uint32_t k = 0; k < driver.numKernels(); ++k)
-        names.insert(driver.binary(k).name);
+    for (uint32_t k = 0; k < run.driver.numKernels(); ++k)
+        names.insert(run.driver.binary(k).name);
     st.uniqueKernels = names.size();
-    st.uniqueBlocks = bb_tool.totalStaticBlocks();
+    st.uniqueBlocks = run.bbTool.totalStaticBlocks();
 
     st.kernelInvocations = app.db.numDispatches();
-    st.blockExecs = bb_tool.totalBlockExecs();
+    st.blockExecs = run.bbTool.totalBlockExecs();
     st.dynInstrs = app.db.totalInstrs();
 
-    st.classCounts = mix_tool.classCounts();
-    st.simdCounts = mix_tool.simdCounts();
-    st.bytesRead = mem_tool.totalBytesRead();
-    st.bytesWritten = mem_tool.totalBytesWritten();
-
-    pin.detach();
+    st.classCounts = run.mixTool.classCounts();
+    st.simdCounts = run.mixTool.simdCounts();
+    st.bytesRead = run.memTool.totalBytesRead();
+    st.bytesWritten = run.memTool.totalBytesWritten();
     return app;
 }
 
@@ -90,40 +123,23 @@ profileSuite(const std::vector<const workloads::Workload *> &apps,
     return results;
 }
 
+std::vector<DispatchRecord>
+replayRows(const cfl::Recording &recording,
+           const gpu::DeviceConfig &config,
+           const gpu::TrialConfig &trial, gpu::SharedPlanCache *plans,
+           gpu::SharedCheckpointCache *checkpoints)
+{
+    InstrumentedRun run(config, trial, plans, checkpoints);
+    cfl::replay(recording, run.runtime);
+    return run.takeRows();
+}
+
 TraceDatabase
 replayTrial(const cfl::Recording &recording,
             const gpu::DeviceConfig &config,
             const gpu::TrialConfig &trial)
 {
-    workloads::TemplateJit jit;
-    ocl::GpuDriver driver(config, jit, trial);
-
-    // Attach the same tool set profileApp() uses: instrumentation
-    // load shifts kernels' relative SPI, so validation trials must
-    // carry identical instrumentation or selections made on the
-    // profiling trial are systematically biased on replays.
-    gtpin::KernelProfileTool profile_tool;
-    gtpin::BasicBlockCounterTool bb_tool;
-    gtpin::OpcodeMixTool mix_tool;
-    gtpin::MemBytesTool mem_tool;
-    gtpin::GtPin pin;
-    pin.addTool(&profile_tool);
-    pin.addTool(&bb_tool);
-    pin.addTool(&mix_tool);
-    pin.addTool(&mem_tool);
-    pin.attach(driver);
-
-    ocl::ClRuntime runtime(driver);
-    cfl::ApiTracer tracer;
-    runtime.addObserver(&tracer);
-
-    cfl::replay(recording, runtime);
-
-    TraceDatabase db = TraceDatabase::build(
-        profile_tool.takeProfiles(), tracer.kernelTimings(),
-        tracer.callStream());
-    pin.detach();
-    return db;
+    return TraceDatabase::fromRows(replayRows(recording, config, trial));
 }
 
 } // namespace gt::core

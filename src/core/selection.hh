@@ -82,14 +82,15 @@ selectSubset(const TraceDatabase &db, IntervalScheme scheme,
              const FeatureEngine *engine = nullptr);
 
 /**
- * The selection tail shared by selectSubset() and the streaming
- * service's incremental refresh: cluster already-projected interval
+ * The selection tail shared by selectSubset() and the profiling
+ * service's session refresh: cluster already-projected interval
  * @p points (one per interval, in interval order) and assemble the
  * SubsetSelection. Having exactly one implementation of this tail is
- * what makes an incremental refresh — intervals and points built as
- * dispatches arrived — bitwise identical to a one-shot selectSubset()
- * over the final database: both paths feed the same points, weights,
- * and options through the same code.
+ * what makes a session refresh — intervals and feature columns built
+ * as rows were appended, points projected through a fresh table —
+ * bitwise identical to a one-shot selectSubset() over the same rows:
+ * both paths feed the same points, weights, and options through the
+ * same code.
  *
  * @param total_instrs whole-program instruction total the selection
  *        fraction is measured against (db.totalInstrs() in the batch

@@ -46,18 +46,6 @@ class ProjectionTable
     /** Build rows for @p keys (must be strictly ascending). */
     static ProjectionTable build(const std::vector<uint64_t> &keys);
 
-    /**
-     * Build rows for @p keys, copying every row @p previous already
-     * holds and computing only the genuinely new keys. A row is a
-     * pure function of its key, so the result is bitwise identical
-     * to build(keys) — this is how the incremental selection path
-     * extends a workload's memoized table as dispatches keep
-     * arriving, paying only for the keys the new dispatches
-     * introduced.
-     */
-    static ProjectionTable build(const std::vector<uint64_t> &keys,
-                                 const ProjectionTable &previous);
-
     /** Row for @p key, or null when the key is outside the table. */
     const Point *row(uint64_t key) const;
 
@@ -95,9 +83,7 @@ Point project(const FeatureVector &vec,
  * refresh, the distortion term — is a pure function of a point's
  * coordinates, so one computation per distinct value serves the
  * whole group with bitwise-identical results. Built once per
- * population and shared by every candidate-k run of the BIC sweep;
- * the incremental refresh path additionally carries an index across
- * refreshes via extendUniqueIndex().
+ * population and shared by every candidate-k run of the BIC sweep.
  */
 struct UniqueIndex
 {
@@ -112,20 +98,6 @@ struct UniqueIndex
  * pure functions of the point multiset.
  */
 UniqueIndex buildUniqueIndex(const double *pts, size_t n);
-
-/**
- * Extend @p base — built over the first @p n_base rows of @p pts —
- * to cover all @p n rows, sorting only the new suffix and merging it
- * into the base's value-ordered groups. uid and count come out
- * bitwise equal to buildUniqueIndex(pts, n); a rep entry may name a
- * different member index, but always one with the identical row
- * value, and the clusterer consumes only rep *coordinates* — so
- * clusterings built over an extended index are bitwise identical to
- * ones built over a fresh index (the differential tests pin this).
- */
-UniqueIndex extendUniqueIndex(const UniqueIndex &base,
-                              const double *pts, size_t n_base,
-                              size_t n);
 
 /**
  * Assignment-step work counters. Every point examined by an
@@ -246,15 +218,6 @@ struct ClusterOptions
      * normally leave it null.
      */
     const ProjectionTable *projection = nullptr;
-    /**
-     * Unique-value index built over exactly the input points (null =
-     * build one per call). The index is a pure function of the point
-     * values, so a caller that grows a population incrementally can
-     * extend a cached index (extendUniqueIndex) instead of
-     * re-sorting the whole population on every refresh.
-     * clusterPoints() asserts the size matches.
-     */
-    const UniqueIndex *uniqueIndex = nullptr;
 };
 
 /**

@@ -15,22 +15,80 @@ TraceDatabase::TraceDatabase(TraceDatabase &&) noexcept = default;
 TraceDatabase &
 TraceDatabase::operator=(TraceDatabase &&) noexcept = default;
 
+std::vector<DispatchRecord>
+TraceDatabase::join(std::vector<gtpin::DispatchProfile> profiles,
+                    const std::vector<cfl::KernelTiming> &timings,
+                    const std::vector<ocl::ApiCallRecord> &call_stream)
+{
+    GT_ASSERT(profiles.size() == timings.size(),
+              "GT-Pin saw ", profiles.size(),
+              " dispatches but CoFluent timed ", timings.size());
+
+    std::vector<std::pair<uint64_t, uint64_t>> epochs =
+        assignEpochs(call_stream);
+    std::vector<DispatchRecord> rows(profiles.size());
+    size_t next = 0; // both sides ascend by seq
+    for (size_t i = 0; i < profiles.size(); ++i) {
+        GT_ASSERT(profiles[i].seq == timings[i].seq,
+                  "profile/timing sequence mismatch at index ", i);
+        while (next < epochs.size() &&
+               epochs[next].first < profiles[i].seq)
+            ++next;
+        GT_ASSERT(next < epochs.size() &&
+                      epochs[next].first == profiles[i].seq,
+                  "dispatch ", profiles[i].seq,
+                  " missing from the host call stream");
+        rows[i].profile = std::move(profiles[i]);
+        rows[i].seconds = timings[i].seconds;
+        rows[i].syncEpoch = epochs[next].second;
+    }
+    return rows;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>>
+TraceDatabase::assignEpochs(const std::vector<ocl::ApiCallRecord> &calls)
+{
+    std::map<uint64_t, uint64_t> epochOf; // by seq, so ascending
+    uint64_t epoch = 0;
+    bool has_work = false;
+    for (const ocl::ApiCallRecord &call : calls) {
+        switch (ocl::apiCategory(call.id)) {
+          case ocl::ApiCategory::Kernel:
+            epochOf[call.dispatchSeq] = epoch;
+            has_work = true;
+            break;
+          case ocl::ApiCategory::Synchronization:
+            if (has_work) {
+                ++epoch;
+                has_work = false;
+            }
+            break;
+          default:
+            break;
+        }
+    }
+    return {epochOf.begin(), epochOf.end()};
+}
+
+TraceDatabase
+TraceDatabase::fromRows(std::vector<DispatchRecord> rows,
+                        uint32_t block_size)
+{
+    Builder builder;
+    for (DispatchRecord &row : rows)
+        builder.appendJoined(std::move(row));
+    return builder.seal(block_size);
+}
+
 TraceDatabase
 TraceDatabase::build(std::vector<gtpin::DispatchProfile> profiles,
                      const std::vector<cfl::KernelTiming> &timings,
                      const std::vector<ocl::ApiCallRecord> &call_stream,
                      uint32_t block_size)
 {
-    GT_ASSERT(profiles.size() == timings.size(),
-              "GT-Pin saw ", profiles.size(),
-              " dispatches but CoFluent timed ", timings.size());
-
-    Builder builder;
-    for (const auto &call : call_stream)
-        builder.observeCall(call);
-    for (size_t i = 0; i < profiles.size(); ++i)
-        builder.append(std::move(profiles[i]), timings[i]);
-    return builder.seal(block_size);
+    std::vector<DispatchRecord> rows =
+        join(std::move(profiles), timings, call_stream);
+    return fromRows(std::move(rows), block_size);
 }
 
 TraceDatabase
@@ -54,57 +112,9 @@ TraceDatabase::openColumnarFile(const std::string &path)
 }
 
 void
-TraceDatabase::Builder::observeCall(const ocl::ApiCallRecord &call)
+TraceDatabase::Builder::appendJoined(DispatchRecord rec)
 {
-    // The synchronization-epoch walk: each dispatch (by seq) gets
-    // the epoch its Kernel call was issued in; the counter advances
-    // at each sync call that actually separated kernel work.
-    switch (ocl::apiCategory(call.id)) {
-      case ocl::ApiCategory::Kernel:
-        epochOf[call.dispatchSeq] = epoch;
-        epochHasWork = true;
-        break;
-      case ocl::ApiCategory::Synchronization:
-        if (epochHasWork) {
-            ++epoch;
-            epochHasWork = false;
-        }
-        break;
-      default:
-        break;
-    }
-}
-
-void
-TraceDatabase::Builder::append(gtpin::DispatchProfile profile,
-                               const cfl::KernelTiming &timing)
-{
-    GT_ASSERT(profile.seq == timing.seq,
-              "profile/timing sequence mismatch at index ",
-              records.size());
-    auto it = epochOf.find(profile.seq);
-    GT_ASSERT(it != epochOf.end(),
-              "dispatch ", profile.seq,
-              " missing from the host call stream");
-    uint64_t sync_epoch = it->second;
-    // The entry is consumed exactly once (seqs ascend), so pruning
-    // it keeps the walk map at O(in-flight dispatches) instead of
-    // O(history) — what makes walkState() cheap to keep resident
-    // across a session eviction.
-    epochOf.erase(it);
-    appendJoined(std::move(profile), timing.seconds, sync_epoch);
-}
-
-void
-TraceDatabase::Builder::appendJoined(gtpin::DispatchProfile profile,
-                                     double seconds,
-                                     uint64_t sync_epoch)
-{
-    DispatchRecord rec;
-    rec.profile = std::move(profile);
     rec.profile.checkShape();
-    rec.seconds = seconds;
-    rec.syncEpoch = sync_epoch;
 
     // Dispatches must arrive in order with monotone epochs.
     if (!records.empty()) {
@@ -114,44 +124,14 @@ TraceDatabase::Builder::appendJoined(gtpin::DispatchProfile profile,
                   "sync epochs out of order");
     }
 
-    // The running totals accumulate in append order — the identical
-    // FP order batch build() uses, which is what makes seal() at any
-    // prefix bitwise equal to the batch oracle.
+    // The running totals accumulate in append order — the one FP
+    // order every path shares, which is what makes seal() after any
+    // prefix bitwise equal to fromRows() over that prefix.
     instrTotal += rec.profile.instrs;
     secondsTotal += rec.seconds;
     instrPrefix.push_back(instrPrefix.back() + rec.profile.instrs);
     secondsCol.push_back(rec.seconds);
     records.push_back(std::move(rec));
-}
-
-std::vector<std::pair<uint64_t, uint64_t>>
-TraceDatabase::Builder::assignEpochs(
-    const std::vector<ocl::ApiCallRecord> &calls)
-{
-    Builder walk;
-    for (const ocl::ApiCallRecord &call : calls)
-        walk.observeCall(call);
-    // epochOf is keyed by seq, so map order is the ascending seq
-    // order appends consume assignments in.
-    return {walk.epochOf.begin(), walk.epochOf.end()};
-}
-
-TraceDatabase::Builder::EpochWalk
-TraceDatabase::Builder::walkState() const
-{
-    EpochWalk walk;
-    walk.pending = epochOf;
-    walk.epoch = epoch;
-    walk.hasWork = epochHasWork;
-    return walk;
-}
-
-void
-TraceDatabase::Builder::restoreWalk(EpochWalk walk)
-{
-    epochOf = std::move(walk.pending);
-    epoch = walk.epoch;
-    epochHasWork = walk.hasWork;
 }
 
 uint64_t
@@ -165,9 +145,6 @@ TraceDatabase::Builder::memoryBytes() const
     }
     bytes += instrPrefix.size() * sizeof(uint64_t);
     bytes += secondsCol.size() * sizeof(double);
-    // Red-black tree node overhead dominates the pending walk map.
-    bytes += epochOf.size() * (sizeof(std::pair<uint64_t, uint64_t>) +
-                               4 * sizeof(void *));
     return bytes;
 }
 

@@ -11,8 +11,8 @@
  * which dispatches begin a new synchronization epoch — the only
  * places a GPU simulation interval may legally start or stop.
  *
- * Records are joined by a Builder, whose rows stay fully resident,
- * and sealing lowers them into an on-disk compressed columnar spill
+ * Records are joined once (join()) and appended to a Builder, whose
+ * rows stay fully resident; sealing lowers them into an on-disk compressed columnar spill
  * (core/trace_store) that keeps only block-index metadata resident;
  * profiles decode on demand through per-thread block caches.
  *
@@ -28,9 +28,9 @@
 #define GT_CORE_TRACE_DB_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfl/tracer.hh"
@@ -104,12 +104,35 @@ class TraceDatabase
 
     /**
      * Join GT-Pin profiles with CoFluent timings and the API call
-     * stream. @p profiles and @p timings must cover the same
-     * dispatches (matched by sequence number, in order).
-     * Implemented as a Builder fed everything then sealed, so the
-     * batch and incremental paths are one code path and bitwise
-     * equality between them holds by construction.
+     * stream into dispatch-ordered rows. @p profiles and @p timings
+     * must cover the same dispatches (matched by sequence number, in
+     * order), and every dispatch must appear in @p call_stream; its
+     * sync epoch comes from assignEpochs().
      */
+    static std::vector<DispatchRecord>
+    join(std::vector<gtpin::DispatchProfile> profiles,
+         const std::vector<cfl::KernelTiming> &timings,
+         const std::vector<ocl::ApiCallRecord> &call_stream);
+
+    /**
+     * Run the synchronization-epoch walk over a call stream,
+     * returning (dispatch seq, epoch) pairs in ascending seq order.
+     * Each dispatch gets the epoch its Kernel call was issued in;
+     * the counter advances at every sync call that separated kernel
+     * work. A dispatch's epoch depends only on the calls before its
+     * own Kernel call, so the walk over a prefix of a stream assigns
+     * that prefix's dispatches the same epochs as the whole walk.
+     */
+    static std::vector<std::pair<uint64_t, uint64_t>>
+    assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
+
+    /** Seal already-joined @p rows, moving them through a Builder. */
+    static TraceDatabase
+    fromRows(std::vector<DispatchRecord> rows,
+             uint32_t block_size = trace_store::defaultBlockSize);
+
+    /** join() followed by fromRows(): the batch path every profiled
+     * run and every test oracle seals through. */
     static TraceDatabase
     build(std::vector<gtpin::DispatchProfile> profiles,
           const std::vector<cfl::KernelTiming> &timings,
@@ -189,80 +212,29 @@ class TraceDatabase
 };
 
 /**
- * Streaming construction of a TraceDatabase, one dispatch at a time.
+ * Construction of a TraceDatabase from joined rows, appended in
+ * dispatch order.
  *
- * The batch join consumes three complete streams; the profiling
- * service sees the same data trickle in as a replay progresses: API
- * calls at issue time, then the matching (profile, timing) pair when
- * the dispatch drains. The builder accepts exactly that order —
- * observeCall() advances the synchronization-epoch walk, append()
- * joins one dispatch — and maintains the same running totals, prefix
- * sums, and dense seconds column build() computes, in the same
- * left-to-right FP order, so seal() at any point yields a database
- * bitwise identical to build() over the prefix fed so far. A
- * dispatch's epoch depends only on calls issued before its own
- * Kernel call, which is why assignment at append time matches the
- * batch walk at any arrival granularity.
+ * The builder keeps its rows resident together with the running
+ * totals, prefix sums and dense seconds column, accumulated in append
+ * order — the FP order every path shares — so seal() after any number
+ * of appends is bitwise identical to fromRows() over the same rows.
+ * The profiling service keeps one per resident session and feeds it
+ * whole replays; eviction writes its rows to an archive and
+ * rehydration re-appends them.
  *
- * The prefix accessors mirror the TraceDatabase query API so the
- * incremental interval builder can run against an unsealed prefix.
- * Builders are copyable (cheap relative to a replay) — tests seal
- * copies mid-stream to compare against batch oracles, and check
- * every sealed accessor against the builder's resident rows.
+ * The prefix accessors mirror the TraceDatabase query API. Builders
+ * are copyable — tests check every sealed accessor against the
+ * builder's resident rows.
  */
 class TraceDatabase::Builder
 {
   public:
     /**
-     * The synchronization-epoch walk's restart state: the epoch
-     * counter, whether the open epoch saw kernel work, and the
-     * pending (observed Kernel call, dispatch not yet drained)
-     * assignments. Appended dispatches consume their entry, so this
-     * stays O(in-flight dispatches), not O(history) — it is the only
-     * builder state an evicted session must keep resident to resume
-     * its call stream after rehydration.
+     * Append one joined dispatch. Dispatches must arrive in
+     * ascending seq order with non-decreasing sync epochs.
      */
-    struct EpochWalk
-    {
-        std::map<uint64_t, uint64_t> pending;
-        uint64_t epoch = 0;
-        bool hasWork = false;
-    };
-
-    /** Advance the epoch walk over one host API call. Kernel calls
-     * must be observed before the dispatch they issue is appended. */
-    void observeCall(const ocl::ApiCallRecord &call);
-
-    /** Join one drained dispatch (profile + CoFluent timing). Must
-     * arrive in dispatch order with its Kernel call observed. */
-    void append(gtpin::DispatchProfile profile,
-                const cfl::KernelTiming &timing);
-
-    /**
-     * Join one already-epoch-assigned dispatch, bypassing the epoch
-     * walk. The totals accumulate exactly as append() does, so a
-     * builder re-fed from an archived database (rehydration) or from
-     * a cached replay artifact (the warm admission path) is bitwise
-     * identical to one that joined the live stream.
-     */
-    void appendJoined(gtpin::DispatchProfile profile, double seconds,
-                      uint64_t sync_epoch);
-
-    /**
-     * Run the epoch walk over a complete call stream once, returning
-     * (dispatch seq, epoch) pairs in ascending seq order — the
-     * assignments append() would have produced. Computed once per
-     * replay artifact so warm submissions skip the per-dispatch walk
-     * entirely.
-     */
-    static std::vector<std::pair<uint64_t, uint64_t>>
-    assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
-
-    /** Snapshot the epoch walk (see EpochWalk). */
-    EpochWalk walkState() const;
-
-    /** Restore a walk snapshot taken by walkState(). */
-    void restoreWalk(EpochWalk walk);
+    void appendJoined(DispatchRecord row);
 
     /** Dispatches appended so far. */
     uint64_t numAppended() const { return records.size(); }
@@ -305,8 +277,8 @@ class TraceDatabase::Builder
     }
 
     /** Resident bytes of the builder: joined records (including the
-     * profiles' heap), the prefix/seconds columns, and the pending
-     * epoch walk. What session eviction reclaims. */
+     * profiles' heap) and the prefix/seconds columns. What session
+     * eviction reclaims. */
     uint64_t memoryBytes() const;
 
     /**
@@ -322,8 +294,8 @@ class TraceDatabase::Builder
 
     /**
      * Produce the database for everything appended so far, spilled
-     * straight from the resident rows; the builder keeps streaming.
-     * Bitwise identical to build() over the same prefix.
+     * straight from the resident rows; the builder stays usable.
+     * Bitwise identical to fromRows() over the same rows.
      */
     TraceDatabase
     seal(uint32_t block_size = trace_store::defaultBlockSize) const;
@@ -334,11 +306,6 @@ class TraceDatabase::Builder
     std::vector<double> secondsCol;
     uint64_t instrTotal = 0;
     double secondsTotal = 0.0;
-
-    // Incremental synchronization-epoch walk.
-    std::map<uint64_t, uint64_t> epochOf;
-    uint64_t epoch = 0;
-    bool epochHasWork = false;
 };
 
 } // namespace gt::core

@@ -7,110 +7,19 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "core/pipeline.hh"
 #include "core/trace_store.hh"
-#include "gtpin/tools.hh"
-#include "workloads/templates.hh"
 
 namespace gt::serve
 {
 
-using core::simpoint::Point;
-using core::simpoint::UniqueIndex;
-
 namespace
 {
 
-/** GT_SERVE_* environment defaults, parsed and logged once. They
- * fill ServiceConfig fields the caller left at their defaults — an
- * explicitly configured value always wins. */
-struct ServeEnv
-{
-    bool haveMaxSessions = false;
-    size_t maxSessions = 0;
-    bool haveMaxBytes = false;
-    uint64_t maxBytes = 0;
-    bool haveEvict = false;
-    bool evict = false;
-    std::string archiveDir;
-};
-
-uint64_t
-parseEnvCount(const char *name, const char *value)
-{
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
-        fatal(name, "='", value, "' is not a non-negative integer");
-    return (uint64_t)parsed;
-}
-
-const ServeEnv &
-serveEnv()
-{
-    static const ServeEnv parsed = [] {
-        ServeEnv e;
-        if (const char *v = std::getenv("GT_SERVE_MAX_SESSIONS");
-            v && *v != '\0') {
-            e.haveMaxSessions = true;
-            e.maxSessions =
-                (size_t)parseEnvCount("GT_SERVE_MAX_SESSIONS", v);
-        }
-        if (const char *v = std::getenv("GT_SERVE_MAX_BYTES");
-            v && *v != '\0') {
-            e.haveMaxBytes = true;
-            e.maxBytes = parseEnvCount("GT_SERVE_MAX_BYTES", v);
-        }
-        if (const char *v = std::getenv("GT_SERVE_EVICT");
-            v && *v != '\0') {
-            std::string value(v);
-            if (value != "0" && value != "1") {
-                fatal("GT_SERVE_EVICT='", value,
-                      "' is not a flag (expected '0' or '1')");
-            }
-            e.haveEvict = true;
-            e.evict = value == "1";
-        }
-        if (const char *v = std::getenv("GT_SERVE_ARCHIVE_DIR");
-            v && *v != '\0') {
-            e.archiveDir = v;
-        }
-        if (e.haveMaxSessions || e.haveMaxBytes || e.haveEvict ||
-            !e.archiveDir.empty()) {
-            inform("serve: lifecycle env overrides:",
-                   e.haveMaxSessions
-                       ? " max-sessions=" +
-                             std::to_string(e.maxSessions)
-                       : "",
-                   e.haveMaxBytes
-                       ? " max-bytes=" + std::to_string(e.maxBytes)
-                       : "",
-                   e.haveEvict
-                       ? std::string(" evict-on-drain=") +
-                             (e.evict ? "1" : "0")
-                       : "",
-                   e.archiveDir.empty()
-                       ? ""
-                       : " archive-dir=" + e.archiveDir);
-        }
-        return e;
-    }();
-    return parsed;
-}
-
-/** Apply the env defaults to fields left unset, then resolve the
- * archive directory fallback chain. */
+/** Fill in the archive directory's TMPDIR fallback. */
 ServiceConfig
 resolveConfig(ServiceConfig cfg)
 {
-    const ServeEnv &env = serveEnv();
-    if (env.haveMaxSessions && cfg.maxResidentSessions == SIZE_MAX)
-        cfg.maxResidentSessions = env.maxSessions;
-    if (env.haveMaxBytes && cfg.maxResidentBytes == UINT64_MAX)
-        cfg.maxResidentBytes = env.maxBytes;
-    if (env.haveEvict && !cfg.evictOnDrain)
-        cfg.evictOnDrain = env.evict;
-    if (cfg.archiveDir.empty())
-        cfg.archiveDir = env.archiveDir;
     if (cfg.archiveDir.empty()) {
         const char *tmp = std::getenv("TMPDIR");
         std::string base = tmp && *tmp != '\0' ? tmp : "/tmp";
@@ -125,20 +34,12 @@ resolveConfig(ServiceConfig cfg)
 uint64_t
 ReplayArtifact::memoryBytes() const
 {
-    uint64_t bytes = sizeof(*this);
-    bytes += calls.size() * sizeof(ocl::ApiCallRecord);
-    for (const ocl::ApiCallRecord &call : calls) {
-        bytes += call.kernelName.size() +
-                 call.uargs.size() * sizeof(uint64_t) +
-                 call.payload.size();
-    }
-    bytes += profiles.size() * sizeof(gtpin::DispatchProfile);
-    for (const gtpin::DispatchProfile &profile : profiles) {
-        bytes += profile.footprintBytes() -
+    uint64_t bytes =
+        sizeof(*this) + rows.size() * sizeof(core::DispatchRecord);
+    for (const core::DispatchRecord &row : rows) {
+        bytes += row.profile.footprintBytes() -
                  sizeof(gtpin::DispatchProfile);
     }
-    bytes += timings.size() * sizeof(cfl::KernelTiming);
-    bytes += epochs.size() * sizeof(std::pair<uint64_t, uint64_t>);
     return bytes;
 }
 
@@ -154,62 +55,35 @@ WorkloadSession::WorkloadSession(std::string workload_name,
     for (const SelectionConfig &sc : config.selections) {
         configs.push_back(ConfigState{
             sc, core::IncrementalIntervals(sc.scheme, targetInstrs),
-            {}, 0, {}, {}, 0, false});
+            {}, 0, false});
     }
-}
-
-void
-WorkloadSession::observeCall(const ocl::ApiCallRecord &call)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    builder.observeCall(call);
-}
-
-void
-WorkloadSession::addDispatch(const gtpin::DispatchProfile &profile,
-                             const cfl::KernelTiming &timing)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    rehydrateLocked();
-    builder.append(profile, timing);
-    features.appendDispatch(profile);
-    uint64_t i = builder.numAppended() - 1;
-    uint64_t epoch = builder.syncEpoch(i);
-    for (ConfigState &cs : configs)
-        cs.intervals.append(epoch, profile.instrs, timing.seconds);
-    ++fed;
-    ++counters.dispatches;
 }
 
 void
 WorkloadSession::addDispatches(
-    const std::vector<gtpin::DispatchProfile> &profiles,
-    const std::vector<cfl::KernelTiming> &timings,
-    const std::vector<std::pair<uint64_t, uint64_t>> &epochs)
+    std::span<const core::DispatchRecord> rows)
 {
-    GT_ASSERT(profiles.size() == timings.size() &&
-                  profiles.size() == epochs.size(),
-              "bulk append stream mismatch: ", profiles.size(),
-              " profiles, ", timings.size(), " timings, ",
-              epochs.size(), " epoch assignments");
     std::lock_guard<std::mutex> lock(mutex);
     rehydrateLocked();
-    for (size_t i = 0; i < profiles.size(); ++i) {
-        const gtpin::DispatchProfile &profile = profiles[i];
-        GT_ASSERT(profile.seq == timings[i].seq,
-                  "profile/timing sequence mismatch at bulk row ", i);
-        GT_ASSERT(epochs[i].first == profile.seq,
-                  "epoch assignment misaligned at bulk row ", i);
-        builder.appendJoined(profile, timings[i].seconds,
-                             epochs[i].second);
-        features.appendDispatch(profile);
-        for (ConfigState &cs : configs) {
-            cs.intervals.append(epochs[i].second, profile.instrs,
-                                timings[i].seconds);
-        }
+    for (const core::DispatchRecord &row : rows)
+        appendLocked(row);
+    fed += rows.size();
+    counters.dispatches += rows.size();
+}
+
+void
+WorkloadSession::appendLocked(core::DispatchRecord row)
+{
+    // The builder checks the row's shape and order before anything
+    // lowers it.
+    builder.appendJoined(std::move(row));
+    uint64_t i = builder.numAppended() - 1;
+    const gtpin::DispatchProfile &profile = builder.profileAt(i);
+    features.appendDispatch(profile);
+    for (ConfigState &cs : configs) {
+        cs.intervals.append(builder.syncEpoch(i), profile.instrs,
+                            builder.seconds(i));
     }
-    fed += profiles.size();
-    counters.dispatches += profiles.size();
 }
 
 void
@@ -217,90 +91,45 @@ WorkloadSession::refresh()
 {
     std::lock_guard<std::mutex> lock(mutex);
     ++counters.refreshes;
-    if (evicted) {
-        // Evictions memoize every selection first, so the common
-        // evicted refresh is a pure memo sweep. Only a selection
-        // that is genuinely stale (a direct evict() racing new rows
-        // is impossible — both hold the session lock — but a caller
-        // may evict, feed, and refresh) forces rehydration.
-        bool stale = false;
-        for (const ConfigState &cs : configs) {
-            stale |= fed > 0 &&
-                (!cs.hasSelection || cs.selectionAt != fed);
-        }
-        if (stale)
-            rehydrateLocked();
-    }
-    for (ConfigState &cs : configs)
-        refreshConfig(cs);
+    refreshLocked();
 }
 
 void
-WorkloadSession::refreshConfig(ConfigState &cs)
+WorkloadSession::refreshLocked()
 {
-    uint64_t now = fed;
-    if (now == 0)
+    if (fed == 0)
         return; // nothing to select from yet
-    if (cs.hasSelection && cs.selectionAt == now) {
-        // The population gained no dispatches: the memoized
-        // selection is still exact. This is also the evicted steady
-        // state — answering from the memo is what keeps refresh()
-        // from rehydrating every archived session.
-        ++counters.reusedSelections;
+    bool stale = false;
+    for (const ConfigState &cs : configs)
+        stale |= !cs.hasSelection || cs.selectionAt != fed;
+    if (!stale) {
+        // No rows since the last cluster: the memoized selections
+        // are still exact. This is also the evicted steady state —
+        // answering from the memo is what keeps refresh() from
+        // rehydrating every archived session.
+        counters.reusedSelections += configs.size();
         return;
     }
-    GT_ASSERT(!evicted, "recluster on an evicted session (refresh() "
-                        "should have rehydrated)");
 
-    // Grow the shared query-side state to the current key universe.
-    // Projection rows are pure per-key, so the extended table agrees
-    // bitwise with a fresh build — and with every cached point.
+    rehydrateLocked();
     features.refreshColumns();
-    if (table.size() != features.numKeys()) {
-        table = core::simpoint::ProjectionTable::build(
-            features.uniqueKeys(), table);
-    }
-
-    std::vector<core::Interval> intervals = cs.intervals.snapshot();
-    size_t total = intervals.size();
-    size_t completed =
-        std::min(cs.intervals.numCompleted(), total);
-    GT_ASSERT(cs.stable <= completed,
-              "stable point prefix shrank: ", cs.stable, " > ",
-              completed);
-
-    // Completed intervals are final: their cached points are the
-    // bits a fresh projectAll would produce. Only the boundary-fresh
-    // intervals and the open tail project anew.
-    cs.points.resize(total);
+    core::simpoint::ProjectionTable table =
+        core::simpoint::ProjectionTable::build(features.uniqueKeys());
     core::DispatchFeatureCache::Scratch scratch;
-    for (size_t i = cs.stable; i < total; ++i) {
-        cs.points[i] = features.projectInto(
-            intervals[i], cs.config.feature, scratch, table);
+    for (ConfigState &cs : configs) {
+        std::vector<core::Interval> intervals = cs.intervals.snapshot();
+        std::vector<core::simpoint::Point> points(intervals.size());
+        for (size_t i = 0; i < intervals.size(); ++i) {
+            points[i] = features.projectInto(
+                intervals[i], cs.config.feature, scratch, table);
+        }
+        cs.selection = core::selectFromProjected(
+            cs.config.scheme, cs.config.feature, std::move(intervals),
+            points, builder.totalInstrs(), clusterOptions);
+        cs.selectionAt = fed;
+        cs.hasSelection = true;
+        ++counters.reclustered;
     }
-    counters.reusedPoints += cs.stable;
-    counters.projectedPoints += total - cs.stable;
-
-    // Extend the unique-value index over the newly completed prefix
-    // (cached for the next refresh), then over the volatile tail
-    // (per-refresh only: the open interval's point changes as more
-    // dispatches accumulate into it).
-    const double *flat =
-        cs.points.empty() ? nullptr : cs.points.front().data();
-    cs.uniq = core::simpoint::extendUniqueIndex(cs.uniq, flat,
-                                                cs.stable, completed);
-    cs.stable = completed;
-    UniqueIndex full = core::simpoint::extendUniqueIndex(
-        cs.uniq, flat, completed, total);
-
-    core::simpoint::ClusterOptions options = clusterOptions;
-    options.uniqueIndex = &full;
-    cs.selection = core::selectFromProjected(
-        cs.config.scheme, cs.config.feature, std::move(intervals),
-        cs.points, builder.totalInstrs(), options);
-    cs.selectionAt = now;
-    cs.hasSelection = true;
-    ++counters.reclustered;
 }
 
 core::SubsetSelection
@@ -342,27 +171,18 @@ WorkloadSession::evict(const std::string &archive_path)
     // evicted session keeps answering refresh()/selection() from the
     // memo, so draining a fleet and refreshing it stays cheap and
     // never re-reads the archives.
-    for (ConfigState &cs : configs)
-        refreshConfig(cs);
+    refreshLocked();
     if (builder.numAppended() > 0) {
         builder.writeArchive(archive_path);
         archivePath = archive_path;
     }
-    // Keep only the epoch-walk restart state (O(in-flight), tiny);
-    // everything else is reclaimed and reproducible from the
+    // Everything else is reclaimed and reproducible from the
     // archive.
-    core::TraceDatabase::Builder::EpochWalk walk = builder.walkState();
     builder = core::TraceDatabase::Builder();
-    builder.restoreWalk(std::move(walk));
     features = core::DispatchFeatureCache();
-    table = core::simpoint::ProjectionTable();
     for (ConfigState &cs : configs) {
         cs.intervals = core::IncrementalIntervals(cs.config.scheme,
                                                   targetInstrs);
-        cs.points.clear();
-        cs.points.shrink_to_fit();
-        cs.stable = 0;
-        cs.uniq = UniqueIndex();
     }
     evicted = true;
     ++counters.evictions;
@@ -387,24 +207,14 @@ WorkloadSession::rehydrateLocked()
     core::TraceDatabase db =
         core::TraceDatabase::openColumnarFile(archivePath);
     for (uint64_t i = 0; i < db.numDispatches(); ++i) {
-        // Copy out of the thread's decode cache before feeding: the
-        // reference is only stable across a few block touches.
-        gtpin::DispatchProfile profile = db.profileAt(i);
-        double secs = db.seconds(i);
-        uint64_t epoch = db.syncEpoch(i);
-        uint64_t instrs = profile.instrs;
-        features.appendDispatch(profile);
-        builder.appendJoined(std::move(profile), secs, epoch);
-        for (ConfigState &cs : configs)
-            cs.intervals.append(epoch, instrs, secs);
+        // Copy out of the thread's decode cache: the reference is
+        // only stable across a few block touches.
+        appendLocked(core::DispatchRecord{db.profileAt(i), db.seconds(i),
+                                          db.syncEpoch(i)});
     }
     GT_ASSERT(builder.numAppended() == fed,
               "rehydrated ", builder.numAppended(),
               " rows but the session had fed ", fed);
-    // Points, the unique index, and the projection table rebuild
-    // from scratch on the next refresh; per-key purity makes the
-    // recomputed selections bitwise equal to a never-evicted
-    // session's (pinned by the eviction differential tests).
 }
 
 uint64_t
@@ -415,15 +225,8 @@ WorkloadSession::memoryBytes() const
                      archivePath.size();
     bytes += builder.memoryBytes();
     bytes += features.memoryBytes();
-    bytes += table.size() * (sizeof(uint64_t) + sizeof(Point));
-    for (const ConfigState &cs : configs) {
-        bytes += sizeof(ConfigState);
-        bytes += cs.intervals.memoryBytes();
-        bytes += cs.points.size() * sizeof(Point);
-        bytes += (cs.uniq.uid.size() + cs.uniq.rep.size() +
-                  cs.uniq.count.size()) *
-                 sizeof(uint32_t);
-    }
+    for (const ConfigState &cs : configs)
+        bytes += sizeof(ConfigState) + cs.intervals.memoryBytes();
     return bytes;
 }
 
@@ -529,14 +332,15 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
     // bulk-append synchronously on the calling thread, so warm
     // submission cost is O(rows) and independent of replay cost.
     if (artifact) {
-        serveFromArtifact(*wl, *artifact);
+        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
+        feed(*wl, *artifact);
         enforceBudget();
         return id;
     }
 
     // Schedule outside the service lock: on a 1-thread pool submit()
-    // runs the replay inline, and the replay takes the lock-free
-    // feed path into the session.
+    // runs the replay inline, and the replay takes the service lock
+    // (to record a failure, to enforce the budget).
     std::future<void> fut =
         pool.submit([this, wl, key] { runReplay(*wl, key); });
     {
@@ -554,8 +358,33 @@ ProfilingService::drain()
         std::lock_guard<std::mutex> lock(mutex);
         work.swap(pendingReplays);
     }
-    for (std::future<void> &f : work)
-        f.get();
+    // runReplay() records replay failures on their workloads; what
+    // still escapes (say, a failed eviction) is collected here so
+    // every replay is waited for before anything is thrown.
+    std::vector<std::string> errors;
+    for (std::future<void> &f : work) {
+        try {
+            f.get();
+        } catch (const std::exception &e) {
+            errors.push_back(e.what());
+        }
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        for (const Workload *w : unreportedFailures) {
+            errors.push_back("tenant '" + tenants[w->tenant]->name +
+                             "', workload '" + w->session->name() +
+                             "': " + w->error);
+        }
+        unreportedFailures.clear();
+    }
+    if (errors.empty())
+        return;
+    std::string report;
+    for (const std::string &e : errors)
+        report += "\n  " + e;
+    fatal("serve: ", errors.size(), " submission",
+          errors.size() == 1 ? "" : "s", " failed:", report);
 }
 
 void
@@ -584,7 +413,12 @@ ProfilingService::session(TenantId tenant, WorkloadId workload)
     Tenant &t = *tenants[tenant];
     GT_ASSERT(workload < t.workloads.size(), "unknown workload ",
               workload, " for tenant '", t.name, "'");
-    return *t.workloads[workload]->session;
+    Workload &w = *t.workloads[workload];
+    if (!w.error.empty()) {
+        fatal("serve: workload '", w.session->name(), "' of tenant '",
+              t.name, "' failed: ", w.error);
+    }
+    return *w.session;
 }
 
 ServiceStats
@@ -602,8 +436,6 @@ ProfilingService::stats() const
                 st.sessions.refreshes += s.refreshes;
                 st.sessions.reclustered += s.reclustered;
                 st.sessions.reusedSelections += s.reusedSelections;
-                st.sessions.reusedPoints += s.reusedPoints;
-                st.sessions.projectedPoints += s.projectedPoints;
                 st.sessions.evictions += s.evictions;
                 st.sessions.rehydrations += s.rehydrations;
             }
@@ -619,8 +451,8 @@ ProfilingService::stats() const
 void
 ProfilingService::runReplay(Workload &workload, uint64_t key)
 {
-    ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
-    std::shared_ptr<const ReplayArtifact> artifact;
+    auto artifact = std::make_shared<ReplayArtifact>();
+    std::string error;
     try {
         // The oversubscription guard: every replay runs on the one
         // shared pool, and at most admission.width() run
@@ -629,121 +461,51 @@ ProfilingService::runReplay(Workload &workload, uint64_t key)
         // pool) must not wait on its own slot.
         sched::PoolHandle::Slot slot = admission.acquireReentrant();
         replayCount.fetch_add(1, std::memory_order_relaxed);
-        artifact = replayStreaming(workload);
-    } catch (...) {
-        // The followers would fail the same way; drain() reports the
-        // failure once and a later submission replays afresh.
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.inflight.erase(key);
-        throw;
+        artifact->rows = core::replayRows(workload.recording,
+                                          cfg.device, cfg.trial,
+                                          &plans, &ckpts);
+    } catch (const std::exception &e) {
+        error = e.what();
     }
 
+    // Publish (or, on failure, forget) the recording; a later
+    // submission of a failed recording replays afresh.
+    ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
     std::vector<Workload *> followers;
     {
         std::lock_guard<std::mutex> lock(shard.mu);
         auto flight = shard.inflight.find(key);
         followers = std::move(flight->second);
         shard.inflight.erase(flight);
-        shard.map.emplace(key, artifact);
+        if (error.empty())
+            shard.map.emplace(key, artifact);
     }
-    workload.lastUse.store(useTicket.fetch_add(1),
-                           std::memory_order_relaxed);
-    workload.drained.store(true, std::memory_order_release);
-    for (Workload *follower : followers)
-        serveFromArtifact(*follower, *artifact);
+
+    if (!error.empty()) {
+        // The followers would fail the same way: they inherit the
+        // leader's error, and drain() names every one of them.
+        std::lock_guard<std::mutex> lock(mutex);
+        followers.insert(followers.begin(), &workload);
+        for (Workload *w : followers) {
+            w->error = error;
+            unreportedFailures.push_back(w);
+        }
+        return;
+    }
+
+    feed(workload, *artifact);
+    for (Workload *follower : followers) {
+        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
+        feed(*follower, *artifact);
+    }
     enforceBudget();
 }
 
-std::shared_ptr<ReplayArtifact>
-ProfilingService::replayStreaming(Workload &workload)
-{
-    workloads::TemplateJit jit;
-    ocl::GpuDriver driver(cfg.device, jit, cfg.trial);
-    driver.setSharedCaches(&plans, &ckpts);
-
-    // The replayTrial tool set: instrumentation load shifts relative
-    // SPI, so service replays carry the same instrumentation the
-    // batch pipeline does or selections would be biased against it.
-    gtpin::KernelProfileTool profile_tool;
-    gtpin::BasicBlockCounterTool bb_tool;
-    gtpin::OpcodeMixTool mix_tool;
-    gtpin::MemBytesTool mem_tool;
-    gtpin::GtPin pin;
-    pin.addTool(&profile_tool);
-    pin.addTool(&bb_tool);
-    pin.addTool(&mix_tool);
-    pin.addTool(&mem_tool);
-    pin.attach(driver);
-
-    ocl::ClRuntime runtime(driver);
-    cfl::ApiTracer tracer;
-    runtime.addObserver(&tracer);
-
-    // Stream the replay: calls feed the session's epoch walk as they
-    // issue; dispatch rows feed as they drain (kernels execute at
-    // host/device alignment points, so rows arrive in sync-epoch
-    // bursts — exactly the granularity the incremental interval
-    // builder closes intervals at).
-    cfl::StreamingReplay stream(workload.recording, runtime);
-    WorkloadSession &session = *workload.session;
-    size_t calls_fed = 0;
-    size_t rows_fed = 0;
-    auto feed = [&] {
-        const std::vector<ocl::ApiCallRecord> &calls =
-            tracer.callStream();
-        for (; calls_fed < calls.size(); ++calls_fed)
-            session.observeCall(calls[calls_fed]);
-        const std::vector<gtpin::DispatchProfile> &profiles =
-            profile_tool.profiles();
-        const std::vector<cfl::KernelTiming> &timings =
-            tracer.kernelTimings();
-        size_t avail = std::min(profiles.size(), timings.size());
-        for (; rows_fed < avail; ++rows_fed)
-            session.addDispatch(profiles[rows_fed],
-                                timings[rows_fed]);
-    };
-    while (stream.nextDispatch())
-        feed();
-    stream.drain();
-    feed();
-    pin.detach();
-
-    auto artifact = std::make_shared<ReplayArtifact>();
-    artifact->calls = tracer.callStream();
-    artifact->profiles = profile_tool.takeProfiles();
-    artifact->timings = tracer.kernelTimings();
-    // Run the epoch walk once here so every warm submission can
-    // bulk-append without it.
-    artifact->epochs =
-        core::TraceDatabase::Builder::assignEpochs(artifact->calls);
-    GT_ASSERT(artifact->epochs.size() == artifact->profiles.size(),
-              "artifact epoch walk assigned ",
-              artifact->epochs.size(), " dispatches but the replay "
-              "profiled ", artifact->profiles.size());
-    return artifact;
-}
-
 void
-ProfilingService::feedFromArtifact(WorkloadSession &session,
-                                   const ReplayArtifact &artifact)
+ProfilingService::feed(Workload &workload,
+                       const ReplayArtifact &artifact)
 {
-    // Epoch assignment depends only on calls issued before each
-    // dispatch's own Kernel call, and the artifact carries the
-    // complete walk's assignments — so the bulk append reproduces
-    // the streamed session state bit for bit, one lock for the
-    // whole batch.
-    GT_ASSERT(artifact.profiles.size() == artifact.timings.size(),
-              "artifact profile/timing count mismatch");
-    session.addDispatches(artifact.profiles, artifact.timings,
-                          artifact.epochs);
-}
-
-void
-ProfilingService::serveFromArtifact(Workload &workload,
-                                    const ReplayArtifact &artifact)
-{
-    artifactHitCount.fetch_add(1, std::memory_order_relaxed);
-    feedFromArtifact(*workload.session, artifact);
+    workload.session->addDispatches(artifact.rows);
     workload.lastUse.store(useTicket.fetch_add(1),
                            std::memory_order_relaxed);
     workload.drained.store(true, std::memory_order_release);
@@ -762,7 +524,7 @@ void
 ProfilingService::enforceBudget()
 {
     if (cfg.maxResidentSessions == SIZE_MAX &&
-        cfg.maxResidentBytes == UINT64_MAX && !cfg.evictOnDrain)
+        cfg.maxResidentBytes == UINT64_MAX)
         return;
 
     // Snapshot resident state under the service lock; the sessions
@@ -781,7 +543,10 @@ ProfilingService::enforceBudget()
         std::lock_guard<std::mutex> lock(mutex);
         for (const auto &t : tenants) {
             for (const auto &w : t->workloads) {
-                if (!w->session || w->session->isEvicted())
+                // A failed workload holds no rows and never drains,
+                // so it must not count against the session budget.
+                if (!w->session || !w->error.empty() ||
+                    w->session->isEvicted())
                     continue;
                 uint64_t bytes = w->session->memoryBytes();
                 residentBytes += bytes;
@@ -801,9 +566,8 @@ ProfilingService::enforceBudget()
               });
 
     for (const Candidate &cand : evictable) {
-        bool over = residentCount > cfg.maxResidentSessions ||
-                    residentBytes > cfg.maxResidentBytes;
-        if (!cfg.evictOnDrain && !over)
+        if (residentCount <= cfg.maxResidentSessions &&
+            residentBytes <= cfg.maxResidentBytes)
             break;
         Workload &wl = *cand.workload;
         SessionArchive &catalog = archiveCatalog();

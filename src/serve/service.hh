@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming multi-tenant profiling service.
+ * Multi-tenant profiling service.
  *
  * The paper's pipeline is batch-shaped: profile one application,
  * build its database, divide intervals, extract features, cluster,
@@ -9,9 +9,10 @@
  * tenants (users, CI jobs, sweep drivers) each submit recorded API
  * streams (cfl::Recording), the service replays them on per-tenant
  * driver stacks sharing one thread pool, and each workload's
- * intervals, feature columns, and subset selections are maintained
- * *incrementally* as dispatches drain — a refresh() at any moment
- * answers with selections bitwise identical to a one-shot
+ * intervals, feature columns, and subset selections are kept in a
+ * session. A session takes whole replays: its rows become visible
+ * when the replay finishes, joined once by core::replayRows(), and a
+ * refresh() answers with selections bitwise identical to a one-shot
  * selectSubset() over everything fed so far.
  *
  * Cross-tenant sharing is content-addressed and immutable:
@@ -21,17 +22,18 @@
  *    isa::contentHash, shared by every tenant driver;
  *  - gpu::SharedCheckpointCache — detailed-mode warm checkpoints
  *    keyed on (binary hash, dispatch shape);
- *  - the replay-artifact cache here — full replay outcomes (call
- *    stream, dispatch profiles, timings) keyed on
- *    cfl::recordingContentHash, so the second tenant submitting an
- *    identical recording streams the cached rows instead of
+ *  - the replay-artifact cache here — a replay's joined rows keyed
+ *    on cfl::recordingContentHash, so the second tenant submitting
+ *    an identical recording appends the cached rows instead of
  *    re-executing kernels. Admission is single-flight: a recording
  *    submitted while its first copy is still replaying attaches to
  *    that replay and is fed from its artifact when it lands, so each
  *    distinct recording replays once however submissions interleave
- *    with pool threads. On a single-core host this dedup, not
- *    thread parallelism, is what makes aggregate throughput scale
- *    with tenant count (bench/service_throughput gates it).
+ *    with pool threads. The leader itself is fed from the artifact
+ *    it publishes, so every session is fed through one path. On a
+ *    single-core host this dedup, not thread parallelism, is what
+ *    makes aggregate throughput scale with tenant count
+ *    (bench/service_throughput gates it).
  *
  * All caches follow the repo's "fully built => const, shareable"
  * contract: artifacts are inserted only once complete, never mutated
@@ -39,70 +41,64 @@
  * shared_ptr<const> (or stable const references) safe to read from
  * any thread.
  *
- * Incremental selection refresh reuses three invariants, each pinned
- * by differential tests:
- *
- *  1. closed intervals are final (core::IncrementalIntervals), so
- *     per-interval projected points for the completed prefix never
- *     change;
- *  2. projection rows are pure per-key
- *     (simpoint::ProjectionTable::build-with-reuse), so cached
- *     prefix points stay bitwise valid as the key universe grows;
- *  3. the unique-value index is a pure function of the point
- *     multiset (simpoint::extendUniqueIndex), so the pruned k-means
- *     index extends instead of re-sorting.
- *
- * A population is re-clustered only when its workload gained
- * dispatches since the last refresh; untouched configurations are
- * answered from the memoized selection.
+ * A configuration is re-clustered only when its workload gained rows
+ * since its last refresh; untouched configurations are answered from
+ * the memoized selection. A re-cluster projects every interval
+ * through the session's feature cache and a freshly built projection
+ * table and calls core::selectFromProjected(), the same tail
+ * selectSubset() runs.
  *
  * At hundreds of tenants the remaining scaling hazards are resident
  * session state (every drained workload used to keep its joined
  * records, feature columns, and interval state in memory forever)
  * and global cache mutexes. Three mechanisms close them:
  *
- *  - **Session eviction.** When a workload drains — or the
- *    configured resident-session / resident-byte budget is exceeded
- *    (LRU order) — its session is *evicted*: selections are
- *    memoized, the joined rows are written to a named columnar
- *    archive file under a small catalog (serve/archive.hh), and the
- *    builder, feature cache, and interval state are dropped. While
- *    evicted, refresh() and selection() answer from the memo at
- *    near-zero cost; a late dispatch (or a non-memo refresh)
- *    *rehydrates* by re-feeding the archived rows, after which every
- *    selection is bitwise identical to a never-evicted session's
- *    (the eviction differential tests pin this across budget
- *    thresholds).
+ *  - **Session eviction.** When the configured resident-session /
+ *    resident-byte budget is exceeded, drained sessions are
+ *    *evicted* in LRU order (a session budget of 0 evicts every
+ *    drained session): selections are memoized, the joined rows are
+ *    written to a named columnar archive file under a small catalog
+ *    (serve/archive.hh), and the builder, feature cache, and
+ *    interval state are dropped. While evicted, refresh() and
+ *    selection() answer from the memo at near-zero cost; late rows
+ *    (or a non-memo refresh) *rehydrate* the session by re-feeding
+ *    the archived rows, after which every selection is bitwise
+ *    identical to a never-evicted session's (the eviction
+ *    differential tests pin this across budget thresholds).
  *  - **Warm admission.** A submit() whose recording content hash
  *    already has a replay artifact skips replay scheduling entirely:
- *    the cached rows bulk-append into the new session through
- *    WorkloadSession::addDispatches() using the artifact's
- *    precomputed epoch assignments — one lock, no per-dispatch epoch
- *    walk, no admission slot, no pool hop. Warm submission is an
- *    O(rows) append on the calling thread, which is what the
- *    warm-vs-cold latency gate in bench/service_throughput measures.
+ *    the cached rows append into the new session through
+ *    WorkloadSession::addDispatches() — one lock, no admission slot,
+ *    no pool hop. Warm submission is an O(rows) append on the
+ *    calling thread, which is what the warm-vs-cold latency gate in
+ *    bench/service_throughput measures.
  *  - **Sharded caches.** The plan, checkpoint (gpu/plan_cache.hh),
  *    and replay-artifact caches are striped by content hash, so
  *    tenants contend per stripe, never on one global mutex; stats
  *    remain exact.
+ *
+ * A replay that fails (a malformed recording) fails only its
+ * workload and the copies waiting on it: drain() reports every such
+ * workload in one FatalError, and a later submission of the same
+ * recording replays afresh.
  */
 
 #ifndef GT_SERVE_SERVICE_HH
 #define GT_SERVE_SERVICE_HH
 
 #include <array>
+#include <atomic>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "cfl/recorder.hh"
-#include "cfl/tracer.hh"
 #include "core/feature_engine.hh"
 #include "core/interval.hh"
 #include "core/selection.hh"
 #include "gpu/plan_cache.hh"
-#include "ocl/driver.hh"
 #include "sched/thread_pool.hh"
 #include "serve/archive.hh"
 
@@ -133,7 +129,7 @@ struct ServiceConfig
     };
 
     /** Clustering options shared by every refresh; the service
-     * threads its own pool and unique index through per call. */
+     * threads its own pool through. */
     core::simpoint::ClusterOptions cluster = {};
 
     /** ApproxInstructions chunk size (0 = derive from the final
@@ -157,53 +153,35 @@ struct ServiceConfig
      * Resident-session cap: when more than this many sessions hold
      * live builder/feature state, drained sessions are evicted to
      * the archive in LRU order. SIZE_MAX = never evict by count;
-     * 0 = evict every drained session. Defaults from
-     * GT_SERVE_MAX_SESSIONS when the field is left unset.
+     * 0 = evict every drained session.
      */
     size_t maxResidentSessions = SIZE_MAX;
 
     /**
      * Resident-byte budget over the summed per-session state
-     * (builders, feature caches, interval/point state — see
+     * (builders, feature caches, interval state — see
      * WorkloadSession::memoryBytes). Exceeding it evicts drained
      * sessions LRU-first until back under. UINT64_MAX = unbounded.
-     * Defaults from GT_SERVE_MAX_BYTES when left unset.
      */
     uint64_t maxResidentBytes = UINT64_MAX;
 
-    /** Evict every workload the moment its replay drains (the
-     * most aggressive setting; selections stay answerable from the
-     * memo). Defaults from GT_SERVE_EVICT=1. */
-    bool evictOnDrain = false;
-
     /** Directory for session archives and their catalog. Empty =
-     * GT_SERVE_ARCHIVE_DIR, else TMPDIR (or /tmp) +
-     * "/gt-serve-<pid>". Created on first eviction. */
+     * TMPDIR (or /tmp) + "/gt-serve-<pid>". Created on first
+     * eviction. */
     std::string archiveDir;
 };
 
 /**
  * One complete replay outcome, cached across tenants by recording
- * content hash. Immutable once built (const members only through the
- * shared_ptr), so any number of sessions may stream from it
- * concurrently.
+ * content hash: the joined rows, in dispatch order. Immutable once
+ * built (const through the shared_ptr), so any number of sessions
+ * may append from it concurrently.
  */
 struct ReplayArtifact
 {
-    std::vector<ocl::ApiCallRecord> calls;
-    std::vector<gtpin::DispatchProfile> profiles;
-    std::vector<cfl::KernelTiming> timings;
+    std::vector<core::DispatchRecord> rows;
 
-    /** Precomputed (dispatch seq, sync epoch) assignments of the
-     * call stream, ascending by seq (one entry per profile) — what
-     * lets warm submissions bulk-append without re-running the
-     * per-dispatch epoch walk
-     * (core::TraceDatabase::Builder::assignEpochs). */
-    std::vector<std::pair<uint64_t, uint64_t>> epochs;
-
-    uint64_t dispatchCount() const { return profiles.size(); }
-
-    /** Approximate resident bytes of the cached outcome. */
+    /** Approximate resident bytes of the cached rows. */
     uint64_t memoryBytes() const;
 };
 
@@ -214,20 +192,17 @@ struct SessionStats
     uint64_t refreshes = 0;        //!< refresh() calls
     uint64_t reclustered = 0;      //!< config refreshes that ran k-means
     uint64_t reusedSelections = 0; //!< answered from the memo
-    uint64_t reusedPoints = 0;     //!< cached prefix points kept
-    uint64_t projectedPoints = 0;  //!< points (re)computed
     uint64_t evictions = 0;        //!< sessions sealed to the archive
     uint64_t rehydrations = 0;     //!< archives re-fed into builders
 };
 
 /**
- * Per-(tenant, workload) incremental selection state: a streaming
- * TraceDatabase::Builder, the flat feature columns, one
+ * Per-(tenant, workload) selection state: a TraceDatabase::Builder
+ * over the joined rows, the flat feature columns, one
  * IncrementalIntervals per configured scheme, and the memoized
- * refresh artifacts (points, unique index, projection table,
- * selection). Thread-safe: every method locks the session, so the
- * service's replay task may feed while another thread refreshes or
- * reads selections.
+ * selections. Thread-safe: every method locks the session, so a
+ * replay task may feed while another thread refreshes or reads
+ * selections.
  */
 class WorkloadSession
 {
@@ -236,38 +211,23 @@ class WorkloadSession
                     const ServiceConfig &config,
                     sched::ThreadPool &pool);
 
-    /** Advance the sync-epoch walk over one host API call (must be
-     * fed in call order, before the dispatches it precedes). */
-    void observeCall(const ocl::ApiCallRecord &call);
-
-    /** Feed one drained dispatch: joins the builder, lowers the
-     * feature columns, and advances every interval scheme. */
-    void addDispatch(const gtpin::DispatchProfile &profile,
-                     const cfl::KernelTiming &timing);
-
     /**
-     * Bulk-append already-epoch-assigned rows (the warm admission
-     * path): one session lock for the whole batch, and the joined
-     * rows bypass the per-dispatch epoch walk because @p epochs
-     * carries the artifact's precomputed (seq, epoch) assignments
-     * (parallel to @p profiles). Bitwise identical session state to
-     * feeding the same rows through observeCall()/addDispatch().
+     * Append joined rows (dispatch order, continuing any rows fed
+     * before): the builder, the feature columns, and every interval
+     * scheme advance under one session lock. Rehydrates an evicted
+     * session first.
      */
-    void addDispatches(
-        const std::vector<gtpin::DispatchProfile> &profiles,
-        const std::vector<cfl::KernelTiming> &timings,
-        const std::vector<std::pair<uint64_t, uint64_t>> &epochs);
+    void addDispatches(std::span<const core::DispatchRecord> rows);
 
     /**
      * Seal this session's joined rows to the named columnar archive
      * at @p archive_path and drop the builder records, feature
-     * columns, and interval/point state — everything except the
-     * memoized selections (refreshed here first, so an evicted
-     * session answers refresh()/selection() from the memo without
-     * touching the archive) and the tiny epoch-walk restart state. A
-     * later dispatch rehydrates transparently by re-feeding the
-     * archived rows; selections afterwards are bitwise identical to
-     * a never-evicted session's. Idempotent.
+     * columns, and interval state — everything except the memoized
+     * selections (refreshed here first, so an evicted session
+     * answers refresh()/selection() from the memo without touching
+     * the archive). Later rows rehydrate transparently by re-feeding
+     * the archived rows; selections afterwards are bitwise identical
+     * to a never-evicted session's. Idempotent.
      */
     void evict(const std::string &archive_path);
 
@@ -276,10 +236,9 @@ class WorkloadSession
 
     /**
      * Approximate resident bytes of this session's *reclaimable*
-     * state: the streaming builder (joined records + profile heap),
-     * the lowered feature columns, the projection table, and
-     * per-config interval/point/unique-index state. What evict()
-     * reclaims; the service's byte-budget eviction and
+     * state: the builder (joined records + profile heap), the
+     * lowered feature columns, and per-config interval state. What
+     * evict() reclaims; the service's byte-budget eviction and
      * memoryFootprint() sum this. The memoized selections are
      * excluded — they survive eviction by contract (selection()
      * stays answerable) and are reported by memoBytes().
@@ -291,21 +250,20 @@ class WorkloadSession
     uint64_t memoBytes() const;
 
     /**
-     * Incremental selection refresh over everything fed so far.
-     * Configurations whose population gained no dispatches since
-     * their last refresh are answered from the memoized selection;
-     * the rest re-cluster, reusing the completed-prefix points, the
-     * extended unique-value index, and the grown projection table.
-     * The result is bitwise identical — selections, chosen k,
+     * Selection refresh over everything fed so far. When no rows
+     * arrived since the last refresh, every configuration is
+     * answered from its memoized selection; otherwise each is
+     * re-clustered from points projected through a fresh projection
+     * table. The result is bitwise identical — selections, chosen k,
      * ratios — to a one-shot selectSubset() over a database sealed
      * at this prefix (the service differential tests pin this at
-     * multiple arrival orders and granularities).
+     * several feed granularities).
      */
     void refresh();
 
     /** Latest refreshed selection of configuration @p config (index
      * into ServiceConfig::selections). refresh() must have run since
-     * the first dispatch arrived. */
+     * the first rows arrived. */
     core::SubsetSelection selection(size_t config) const;
 
     uint64_t numDispatches() const;
@@ -323,18 +281,18 @@ class WorkloadSession
     {
         SelectionConfig config;
         core::IncrementalIntervals intervals;
-        /** Cached per-interval projected points; [0, stable) cover
-         * completed (final) intervals and are reused verbatim. */
-        std::vector<core::simpoint::Point> points;
-        size_t stable = 0;
-        /** Unique-value index over the stable prefix. */
-        core::simpoint::UniqueIndex uniq;
         core::SubsetSelection selection;
         uint64_t selectionAt = 0; //!< dispatch count at last cluster
         bool hasSelection = false;
     };
 
-    void refreshConfig(ConfigState &state);
+    /** Append one row to the builder, features, and intervals (the
+     * one per-row path: fresh rows and rehydration both use it).
+     * Caller holds the mutex. */
+    void appendLocked(core::DispatchRecord row);
+
+    /** refresh() without the call count. Caller holds the mutex. */
+    void refreshLocked();
 
     /** Re-feed the archived rows into fresh builder/feature/interval
      * state (no-op unless evicted). Caller holds the mutex. */
@@ -348,7 +306,6 @@ class WorkloadSession
     mutable std::mutex mutex;
     core::TraceDatabase::Builder builder;
     core::DispatchFeatureCache features;
-    core::simpoint::ProjectionTable table;
     std::vector<ConfigState> configs;
     SessionStats counters;
 
@@ -383,8 +340,8 @@ struct ServiceFootprint
      * matter how many workloads accumulate. */
     uint64_t sessionBytes = 0;
     /** Residual object bytes of evicted sessions (the session
-     * object, empty column/interval shells, the epoch-walk restart
-     * state — a few KB each, everything heavy is on disk). */
+     * object and empty column/interval shells — a few KB each,
+     * everything heavy is on disk). */
     uint64_t evictedResidueBytes = 0;
     /** Memoized selections, summed over every session. Retained
      * across eviction (selection()/refresh() answer from them), so
@@ -415,8 +372,8 @@ class ProfilingService
 
     explicit ProfilingService(ServiceConfig config = {});
 
-    /** Joins outstanding replays (failures are swallowed here; call
-     * drain() first to observe them). */
+    /** Joins outstanding replays (failures are not reported here;
+     * call drain() first to observe them). */
     ~ProfilingService();
 
     ProfilingService(const ProfilingService &) = delete;
@@ -426,25 +383,29 @@ class ProfilingService
 
     /**
      * Submit one recorded workload for @p tenant. The replay is
-     * scheduled on the shared pool and streams into the workload's
-     * session as dispatches drain; identical recordings (by content
-     * hash) from any tenant are served from the replay-artifact
-     * cache without re-executing kernels — including copies that
-     * arrive while the first one is still replaying, which are fed
-     * when that replay finishes. If that replay fails, drain()
-     * reports it once and its waiting copies stay empty.
+     * scheduled on the shared pool and its rows are fed into the
+     * workload's session when it finishes; identical recordings (by
+     * content hash) from any tenant are served from the
+     * replay-artifact cache without re-executing kernels — including
+     * copies that arrive while the first one is still replaying,
+     * which are fed when that replay finishes. If that replay fails,
+     * the waiting copies fail with it.
      */
     WorkloadId submit(TenantId tenant, std::string workload_name,
                       cfl::Recording recording);
 
-    /** Wait for every outstanding replay; rethrows the first
-     * failure. */
+    /**
+     * Wait for every outstanding replay, then throw one FatalError
+     * naming each workload that failed since the last drain() (the
+     * good workloads are fed and usable either way).
+     */
     void drain();
 
     /** refresh() every session (see WorkloadSession::refresh). */
     void refreshAll();
 
-    /** The incremental state of one submitted workload. */
+    /** The selection state of one submitted workload. Throws
+     * FatalError with the replay's error if the workload failed. */
     WorkloadSession &session(TenantId tenant, WorkloadId workload);
 
     gpu::SharedPlanCache &planCache() { return plans; }
@@ -480,6 +441,9 @@ class ProfilingService
         /** LRU ticket (monotone service-wide counter, not wall
          * time), refreshed on feed completion and refreshAll(). */
         std::atomic<uint64_t> lastUse{0};
+        /** Why the replay failed (empty = it did not); guarded by
+         * the service mutex. */
+        std::string error;
     };
 
     struct Tenant
@@ -489,12 +453,8 @@ class ProfilingService
     };
 
     void runReplay(Workload &workload, uint64_t key);
-    std::shared_ptr<ReplayArtifact> replayStreaming(Workload &workload);
-    static void feedFromArtifact(WorkloadSession &session,
-                                 const ReplayArtifact &artifact);
-    /** Feed @p workload from a cached artifact and mark it drained. */
-    void serveFromArtifact(Workload &workload,
-                           const ReplayArtifact &artifact);
+    /** Feed @p workload the artifact's rows and mark it drained. */
+    void feed(Workload &workload, const ReplayArtifact &artifact);
 
     /** The archive catalog, created (with its directory) on first
      * use. */
@@ -531,9 +491,11 @@ class ProfilingService
     std::unique_ptr<SessionArchive> archiveStore;
     std::atomic<uint64_t> useTicket{1};
 
-    mutable std::mutex mutex; //!< tenants + pending futures
+    mutable std::mutex mutex; //!< tenants, futures, failures
     std::vector<std::unique_ptr<Tenant>> tenants;
     std::vector<std::future<void>> pendingReplays;
+    /** Failed workloads drain() has not reported yet. */
+    std::vector<Workload *> unreportedFailures;
 };
 
 } // namespace gt::serve

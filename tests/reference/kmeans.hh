@@ -29,7 +29,7 @@ lloydRun(const std::vector<core::simpoint::Point> &points,
          Rng &rng);
 
 /** Same contract as simpoint::clusterPoints: the BIC sweep over
- * lloydRun (options.uniqueIndex is ignored). */
+ * lloydRun. */
 core::simpoint::Clustering
 lloydClusterPoints(const std::vector<core::simpoint::Point> &points,
                    const std::vector<double> &weights,

@@ -1,23 +1,24 @@
 /**
  * @file
- * Profiling-service differential tests: the streaming
- * TraceDatabase::Builder, incremental interval division, incremental
- * feature columns, incremental selection refresh, and the shared
+ * Profiling-service differential tests: the TraceDatabase::Builder
+ * over joined rows, incremental interval division, incremental
+ * feature columns, session selection refresh, and the shared
  * content-addressed caches.
  *
- * The service's central contract is "incremental == one-shot,
- * bitwise": a session fed one dispatch at a time and refreshed at
- * any arrival prefix must answer with exactly the database,
- * intervals, feature vectors, and selections a batch pipeline run
- * over the same prefix produces. These tests pin that equivalence
- * across schemes, feed granularities, refresh cadences, and pool
- * widths, plus the cache-sharing rules ("fully built => const,
- * shareable") under real concurrency — the `service` label puts the
- * whole file under TSan in the tsan preset.
+ * The service's central contract is "session == one-shot, bitwise":
+ * a session fed joined rows in chunks and refreshed after any chunk
+ * must answer with exactly the database, intervals, feature vectors,
+ * and selections a batch pipeline run over the same prefix produces.
+ * These tests pin that equivalence across schemes, chunk sizes,
+ * refresh cadences, and pool widths, plus the cache-sharing rules
+ * ("fully built => const, shareable") under real concurrency — the
+ * `service` label puts the whole file under TSan in the tsan preset.
  */
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <span>
 #include <thread>
 
 #include <unistd.h>
@@ -34,6 +35,7 @@ namespace gt::serve
 namespace
 {
 
+using core::DispatchRecord;
 using core::Interval;
 using core::IntervalScheme;
 using core::TraceDatabase;
@@ -139,51 +141,63 @@ expectSameSelection(const core::SubsetSelection &got,
     EXPECT_EQ(got.totalInstrs, want.totalInstrs);
 }
 
-/** Feed @p in into @p consume(call) / @p row(d) in API-call order:
- * every call observed, each dispatch delivered right after its
- * Kernel call — the arrival order a draining replay produces. */
-template <typename CallFn, typename RowFn>
-void
-streamInputs(const Inputs &in, CallFn &&consume, RowFn &&row)
+/** The joined rows of @p in (the batch join the service's replays
+ * produce). */
+std::vector<DispatchRecord>
+joinedRows(const Inputs &in)
 {
-    for (const ocl::ApiCallRecord &call : in.calls) {
-        consume(call);
-        if (call.id == ocl::ApiCallId::EnqueueNDRangeKernel)
-            row(call.dispatchSeq);
-    }
+    return TraceDatabase::join(in.profiles, in.timings, in.calls);
+}
+
+/** Hand @p rows to @p fn in consecutive chunks of @p chunk rows (the
+ * last one may be shorter). */
+template <typename Fn>
+void
+forEachChunk(const std::vector<DispatchRecord> &rows, uint64_t chunk,
+             Fn &&fn)
+{
+    std::span<const DispatchRecord> all(rows);
+    for (size_t at = 0; at < all.size(); at += chunk)
+        fn(all.subspan(at, std::min<size_t>(chunk, all.size() - at)));
 }
 
 // ---------------------------------------------------------------
-// Streaming TraceDatabase::Builder vs. batch build().
+// TraceDatabase::Builder over assignEpochs() rows vs. batch build().
 
 TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
 {
     const uint64_t n = 300;
     Inputs in = makeInputs(n);
+    // The walk over the whole call stream; the batch oracle below
+    // walks only the prefix issued so far.
+    std::vector<std::pair<uint64_t, uint64_t>> epochs =
+        TraceDatabase::assignEpochs(in.calls);
+    ASSERT_EQ(epochs.size(), n);
+    std::vector<size_t> issued(n); // calls issued through dispatch d
+    for (size_t c = 0; c < in.calls.size(); ++c) {
+        if (in.calls[c].id == ocl::ApiCallId::EnqueueNDRangeKernel)
+            issued[in.calls[c].dispatchSeq] = c + 1;
+    }
+
     for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
         TraceDatabase::Builder builder;
-        uint64_t calls_seen = 0;
-        streamInputs(
-            in,
-            [&](const ocl::ApiCallRecord &c) {
-                builder.observeCall(c);
-                ++calls_seen;
-            },
-            [&](uint64_t d) {
-                builder.append(in.profiles[d], in.timings[d]);
-                if ((d + 1) % chunk != 0 && d + 1 != n)
-                    return;
-                // Batch-join the same prefix: every call issued so
-                // far, every dispatch drained so far.
-                TraceDatabase want = TraceDatabase::build(
-                    {in.profiles.begin(),
-                     in.profiles.begin() + (long)(d + 1)},
-                    {in.timings.begin(),
-                     in.timings.begin() + (long)(d + 1)},
-                    {in.calls.begin(),
-                     in.calls.begin() + (long)calls_seen});
-                expectSameDb(builder.seal(), want);
-            });
+        for (uint64_t d = 0; d < n; ++d) {
+            ASSERT_EQ(epochs[d].first, d);
+            builder.appendJoined({in.profiles[d], in.timings[d].seconds,
+                                  epochs[d].second});
+            if ((d + 1) % chunk != 0 && d + 1 != n)
+                continue;
+            // Batch-join the same prefix: every call issued so far,
+            // every dispatch drained so far.
+            TraceDatabase want = TraceDatabase::build(
+                {in.profiles.begin(),
+                 in.profiles.begin() + (long)(d + 1)},
+                {in.timings.begin(),
+                 in.timings.begin() + (long)(d + 1)},
+                {in.calls.begin(),
+                 in.calls.begin() + (long)issued[d]});
+            expectSameDb(builder.seal(), want);
+        }
     }
 }
 
@@ -223,40 +237,35 @@ TEST_P(IncrementalIntervalTest, AppendMatchesBatchAtEveryChunk)
     const uint64_t n = 300;
     Inputs in = makeInputs(n);
 
+    const std::vector<DispatchRecord> rows = joinedRows(in);
+
     for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
         TraceDatabase::Builder builder;
         core::IncrementalIntervals inc(param.scheme(), param.target);
         std::vector<Interval> prev;
         size_t prev_completed = 0;
-        streamInputs(
-            in,
-            [&](const ocl::ApiCallRecord &c) {
-                builder.observeCall(c);
-            },
-            [&](uint64_t d) {
-                builder.append(in.profiles[d], in.timings[d]);
-                inc.append(builder.syncEpoch(d),
-                           in.profiles[d].instrs,
-                           in.timings[d].seconds);
-                if ((d + 1) % chunk != 0 && d + 1 != n)
-                    return;
-                std::vector<Interval> got = inc.snapshot();
-                expectSameIntervals(
-                    got, core::buildIntervals(builder.seal(),
-                                              param.scheme(),
-                                              param.target));
-                // Completed intervals are final: the previous
-                // snapshot's completed prefix reappears unchanged.
-                ASSERT_LE(inc.numCompleted(), got.size());
-                ASSERT_LE(prev_completed, inc.numCompleted());
-                for (size_t i = 0; i < prev_completed; ++i) {
-                    EXPECT_EQ(prev[i].lastDispatch,
-                              got[i].lastDispatch);
-                    EXPECT_EQ(prev[i].instrs, got[i].instrs);
-                }
-                prev = std::move(got);
-                prev_completed = inc.numCompleted();
-            });
+        forEachChunk(rows, chunk, [&](auto part) {
+            for (const DispatchRecord &row : part) {
+                builder.appendJoined(row);
+                inc.append(row.syncEpoch, row.profile.instrs,
+                           row.seconds);
+            }
+            std::vector<Interval> got = inc.snapshot();
+            expectSameIntervals(
+                got, core::buildIntervals(builder.seal(),
+                                          param.scheme(),
+                                          param.target));
+            // Completed intervals are final: the previous snapshot's
+            // completed prefix reappears unchanged.
+            ASSERT_LE(inc.numCompleted(), got.size());
+            ASSERT_LE(prev_completed, inc.numCompleted());
+            for (size_t i = 0; i < prev_completed; ++i) {
+                EXPECT_EQ(prev[i].lastDispatch, got[i].lastDispatch);
+                EXPECT_EQ(prev[i].instrs, got[i].instrs);
+            }
+            prev = std::move(got);
+            prev_completed = inc.numCompleted();
+        });
     }
 }
 
@@ -305,92 +314,21 @@ TEST(ServeFeatures, StreamingCacheMatchesBatch)
 }
 
 // ---------------------------------------------------------------
-// Memoized refresh building blocks.
+// Session selection refresh vs. one-shot selectSubset().
 
-TEST(ServeSimpoint, ProjectionTableReuseIsBitwise)
-{
-    Rng rng(0xab1e);
-    std::vector<uint64_t> keys;
-    for (int i = 0; i < 80; ++i)
-        keys.push_back(rng.next());
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-    std::vector<uint64_t> prefix(keys.begin(),
-                                 keys.begin() + keys.size() / 2);
-    using core::simpoint::ProjectionTable;
-    ProjectionTable fresh = ProjectionTable::build(keys);
-    ProjectionTable reused =
-        ProjectionTable::build(keys, ProjectionTable::build(prefix));
-    ASSERT_EQ(reused.size(), fresh.size());
-    for (uint64_t key : keys) {
-        ASSERT_NE(reused.row(key), nullptr);
-        EXPECT_EQ(*reused.row(key), *fresh.row(key));
-    }
-}
-
-TEST(ServeSimpoint, ExtendUniqueIndexMatchesFreshBuild)
-{
-    using core::simpoint::projectedDims;
-    // Heavily duplicated population: 9 distinct rows over 240
-    // points, exactly the shape interval features produce.
-    Rng rng(0xd0b1);
-    std::vector<core::simpoint::Point> distinct(9);
-    for (auto &p : distinct) {
-        for (double &v : p)
-            v = (double)(rng.next() % 1000) / 17.0;
-    }
-    const size_t n = 240;
-    std::vector<double> flat(n * projectedDims);
-    for (size_t i = 0; i < n; ++i) {
-        const auto &p = distinct[rng.next() % distinct.size()];
-        std::copy(p.begin(), p.end(),
-                  flat.begin() + (long)(i * projectedDims));
-    }
-
-    using core::simpoint::UniqueIndex;
-    for (size_t n_base : {size_t(0), size_t(1), size_t(100), n}) {
-        UniqueIndex base =
-            core::simpoint::buildUniqueIndex(flat.data(), n_base);
-        UniqueIndex ext = core::simpoint::extendUniqueIndex(
-            base, flat.data(), n_base, n);
-        UniqueIndex want =
-            core::simpoint::buildUniqueIndex(flat.data(), n);
-        EXPECT_EQ(ext.uid, want.uid);
-        EXPECT_EQ(ext.count, want.count);
-        // rep may name a different member, but always one carrying
-        // the identical row value.
-        ASSERT_EQ(ext.rep.size(), want.rep.size());
-        for (size_t g = 0; g < ext.rep.size(); ++g) {
-            const double *a = flat.data() + ext.rep[g] * projectedDims;
-            const double *b =
-                flat.data() + want.rep[g] * projectedDims;
-            for (int dim = 0; dim < projectedDims; ++dim)
-                EXPECT_EQ(a[dim], b[dim]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Incremental selection refresh vs. one-shot selectSubset().
-
-/** Refresh at every @p cadence dispatches and at the end; after each
- * refresh, every configured selection must equal a one-shot batch
- * selection over a database sealed at the same prefix. */
+/** Feed chunks of @p cadence rows, refreshing after each; every
+ * configured selection must then equal a one-shot batch selection
+ * over a database sealed at the same prefix. */
 void
 runRefreshCadence(const Inputs &in, uint64_t cadence,
                   sched::ThreadPool &pool)
 {
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
-    uint64_t fed = 0;
-    streamInputs(
-        in,
-        [&](const ocl::ApiCallRecord &c) { session.observeCall(c); },
-        [&](uint64_t d) {
-            session.addDispatch(in.profiles[d], in.timings[d]);
-            if (++fed % cadence != 0 && d + 1 != in.profiles.size())
-                return;
+    forEachChunk(
+        joinedRows(in), cadence,
+        [&](std::span<const DispatchRecord> rows) {
+            session.addDispatches(rows);
             session.refresh();
             TraceDatabase db = session.sealDatabase();
             for (size_t c = 0; c < cfg.selections.size(); ++c) {
@@ -423,14 +361,7 @@ TEST(ServeSession, RefreshIsPoolWidthInvariant)
     for (unsigned width : {1u, 4u}) {
         sched::ThreadPool pool(width);
         WorkloadSession session("synthetic", cfg, pool);
-        streamInputs(in,
-                     [&](const ocl::ApiCallRecord &c) {
-                         session.observeCall(c);
-                     },
-                     [&](uint64_t d) {
-                         session.addDispatch(in.profiles[d],
-                                             in.timings[d]);
-                     });
+        session.addDispatches(joinedRows(in));
         session.refresh();
         for (size_t c = 0; c < cfg.selections.size(); ++c) {
             if (width == 1)
@@ -447,14 +378,7 @@ TEST(ServeSession, MemoizedRefreshSkipsUnchangedConfigs)
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
-    streamInputs(in,
-                 [&](const ocl::ApiCallRecord &c) {
-                     session.observeCall(c);
-                 },
-                 [&](uint64_t d) {
-                     session.addDispatch(in.profiles[d],
-                                         in.timings[d]);
-                 });
+    session.addDispatches(joinedRows(in));
     session.refresh();
     SessionStats after_first = session.stats();
     EXPECT_EQ(after_first.reclustered, cfg.selections.size());
@@ -567,6 +491,95 @@ TEST(ServeService, ConcurrentTenantsAgreeBitwise)
     }
 }
 
+/** @p recording with one mid-stream kernel launch stripped of its
+ * arguments: replaying it fails with a FatalError after earlier
+ * dispatches have run. */
+cfl::Recording
+malformedCopy(const cfl::Recording &recording)
+{
+    cfl::Recording bad = recording;
+    std::vector<ocl::ApiCallRecord *> launches;
+    for (ocl::ApiCallRecord &call : bad.calls) {
+        if (call.id == ocl::ApiCallId::EnqueueNDRangeKernel)
+            launches.push_back(&call);
+    }
+    EXPECT_GT(launches.size(), 1u);
+    launches[launches.size() / 2]->uargs.clear();
+    return bad;
+}
+
+TEST(ServeService, FailedReplayFailsOnlyItsWorkloads)
+{
+    setLogQuiet(true);
+    const core::ProfiledApp &app = gaussianApp();
+    const cfl::Recording bad = malformedCopy(app.recording);
+
+    // Occupy every worker so all three submissions queue behind the
+    // gate: the second bad copy then attaches to the first as a
+    // follower, deterministically.
+    sched::ThreadPool pool(2);
+    ServiceConfig cfg;
+    cfg.pool = &pool;
+    ProfilingService service(cfg);
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    std::vector<std::future<void>> blockers;
+    for (unsigned i = 0; i < pool.threadCount(); ++i)
+        blockers.push_back(pool.submit([open] { open.wait(); }));
+
+    auto good = service.openTenant("good");
+    auto bad0 = service.openTenant("bad-0");
+    auto bad1 = service.openTenant("bad-1");
+    service.submit(bad0, "broken", bad);
+    service.submit(good, app.name, app.recording);
+    service.submit(bad1, "broken", bad);
+    gate.set_value();
+    for (std::future<void> &b : blockers)
+        b.get();
+
+    // Both copies are reported, in one error.
+    try {
+        service.drain();
+        ADD_FAILURE() << "drain() did not report the failed replay";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("2 submissions failed"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'bad-0'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'bad-1'"), std::string::npos) << what;
+        EXPECT_EQ(what.find("'good'"), std::string::npos) << what;
+    }
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.replays, 2u); // one bad leader, one good
+    EXPECT_EQ(stats.artifactHits, 0u);
+    EXPECT_THROW(service.session(bad0, 0), FatalError);
+    EXPECT_THROW(service.session(bad1, 0), FatalError);
+
+    // The good workload is unaffected.
+    service.refreshAll();
+    WorkloadSession &session = service.session(good, 0);
+    TraceDatabase db = session.sealDatabase();
+    expectSameDb(db, app.db);
+    for (size_t c = 0; c < cfg.selections.size(); ++c) {
+        const SelectionConfig &sc = cfg.selections[c];
+        expectSameSelection(
+            session.selection(c),
+            core::selectSubset(db, sc.scheme, sc.feature, cfg.cluster,
+                               cfg.targetInstrs));
+    }
+    EXPECT_NO_THROW(service.drain()); // each failure reported once
+
+    // A failed recording is not cached: resubmitting replays afresh
+    // and fails only the new workload.
+    service.submit(bad0, "broken", bad);
+    EXPECT_THROW(service.drain(), FatalError);
+    stats = service.stats();
+    EXPECT_EQ(stats.replays, 3u);
+    EXPECT_EQ(stats.artifactHits, 0u);
+    EXPECT_THROW(service.session(bad0, 1), FatalError);
+    EXPECT_NO_THROW(service.session(good, 0));
+}
+
 // ---------------------------------------------------------------
 // Shared content-addressed caches.
 
@@ -660,7 +673,7 @@ evictDir(const std::string &tag)
 TEST(ServeEviction, EvictRehydrateMatchesNeverEvicted)
 {
     // 250 = three evictions at 80/160/240, each followed by late
-    // dispatches that force a rehydrate mid-stream.
+    // rows that force a rehydrate.
     Inputs in = makeInputs(250);
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
@@ -669,19 +682,15 @@ TEST(ServeEviction, EvictRehydrateMatchesNeverEvicted)
     SessionArchive archive(evictDir("rehydrate"));
     std::string path = archive.pathFor(0, 0, "synthetic");
 
-    uint64_t fed = 0;
     uint64_t resident_before_evict = 0;
-    streamInputs(
-        in,
-        [&](const ocl::ApiCallRecord &c) {
-            session.observeCall(c);
-            oracle.observeCall(c);
-        },
-        [&](uint64_t d) {
-            session.addDispatch(in.profiles[d], in.timings[d]);
-            oracle.addDispatch(in.profiles[d], in.timings[d]);
-            if (++fed % 80 != 0)
+    forEachChunk(
+        joinedRows(in), 80,
+        [&](std::span<const DispatchRecord> rows) {
+            session.addDispatches(rows);
+            oracle.addDispatches(rows);
+            if (rows.size() != 80)
                 return;
+            uint64_t fed = session.numDispatches();
             resident_before_evict = session.memoryBytes();
             session.evict(path);
             archive.record("synthetic", path, fed);
@@ -691,7 +700,7 @@ TEST(ServeEviction, EvictRehydrateMatchesNeverEvicted)
                       resident_before_evict / 4);
         });
 
-    // The late dispatches after the last eviction rehydrated.
+    // The late rows after the last eviction rehydrated.
     EXPECT_FALSE(session.isEvicted());
     SessionStats stats = session.stats();
     EXPECT_EQ(stats.evictions, 3u);
@@ -720,14 +729,7 @@ TEST(ServeEviction, EvictedSessionAnswersFromMemo)
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
-    streamInputs(in,
-                 [&](const ocl::ApiCallRecord &c) {
-                     session.observeCall(c);
-                 },
-                 [&](uint64_t d) {
-                     session.addDispatch(in.profiles[d],
-                                         in.timings[d]);
-                 });
+    session.addDispatches(joinedRows(in));
     session.refresh();
     std::vector<core::SubsetSelection> before;
     for (size_t c = 0; c < cfg.selections.size(); ++c)
@@ -764,14 +766,13 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
         const char *tag;
         size_t sessions;
         uint64_t bytes;
-        bool onDrain;
         bool evicts;
     };
     const Budget budgets[] = {
-        {"unbounded", SIZE_MAX, UINT64_MAX, false, false},
-        {"one-session", 1, UINT64_MAX, false, true},
-        {"zero-bytes", SIZE_MAX, 0, false, true},
-        {"on-drain", SIZE_MAX, UINT64_MAX, true, true},
+        {"unbounded", SIZE_MAX, UINT64_MAX, false},
+        {"one-session", 1, UINT64_MAX, true},
+        {"zero-bytes", SIZE_MAX, 0, true},
+        {"on-drain", 0, UINT64_MAX, true},
     };
     const unsigned tenants = 3;
 
@@ -782,7 +783,6 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
         ServiceConfig cfg;
         cfg.maxResidentSessions = budget.sessions;
         cfg.maxResidentBytes = budget.bytes;
-        cfg.evictOnDrain = budget.onDrain;
         cfg.archiveDir = evictDir(budget.tag);
         ProfilingService service(cfg);
 
@@ -826,7 +826,7 @@ TEST(ServeEviction, ConcurrentSubmitWhileEvicting)
     sched::ThreadPool pool(4);
     ServiceConfig cfg;
     cfg.pool = &pool;
-    cfg.evictOnDrain = true;
+    cfg.maxResidentSessions = 0; // evict every drained session
     cfg.archiveDir = evictDir("concurrent");
     ProfilingService service(cfg);
 
@@ -896,8 +896,8 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
 
     // A ~1.5-session budget: resident session bytes stay bounded no
     // matter how many workloads accumulate (evicted sessions keep
-    // only their tiny memo/walk residue, allow one session of
-    // slack for it and the in-flight feed).
+    // only their tiny memo residue, allow one session of slack for
+    // it and the in-flight feed).
     ServiceConfig cfg;
     cfg.maxResidentBytes = one_session + one_session / 2;
     cfg.archiveDir = evictDir("budget");

@@ -256,15 +256,14 @@ expectDatabasesEqual(const TraceDatabase::Builder &rows,
     }
 }
 
-/** The joined rows of @p t, fed through the streaming builder. */
+/** The joined rows of @p t (build()'s join), held by a builder. */
 TraceDatabase::Builder
 buildRows(const SyntheticTrace &t)
 {
     TraceDatabase::Builder rows;
-    for (const auto &call : t.calls)
-        rows.observeCall(call);
-    for (size_t i = 0; i < t.profiles.size(); ++i)
-        rows.append(t.profiles[i], t.timings[i]);
+    for (DispatchRecord &row :
+         TraceDatabase::join(t.profiles, t.timings, t.calls))
+        rows.appendJoined(std::move(row));
     return rows;
 }
 

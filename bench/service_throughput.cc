@@ -6,28 +6,29 @@
  *
  * Each scale point opens T tenants and submits the same three small
  * recorded applications to every one of them. Tenant 0 is the *cold*
- * set — its recordings replay for real on the shared pool. Every
- * later identical recording is *warm*: served from the
- * content-addressed replay-artifact cache and bulk-appended inline
- * in submit() (no replay scheduling, no pool hop), which is what the
- * warm-vs-cold per-workload speedup gate (>= 5x) measures.
+ * set — its recordings replay for real on the shared pool and each
+ * builds its session (database sealed, every selection clustered).
+ * Every later identical recording is *warm*: submit() takes a
+ * reference to the session its content hash names (no replay, no
+ * lowering, no clustering), which is what the warm-vs-cold
+ * per-workload speedup gate (>= 5x) measures.
  *
- * Every service runs under a fixed resident-byte budget: drained
- * sessions are evicted LRU-first to named columnar archives, so the
- * per-session state the service keeps hot is bounded by the budget,
- * not by tenant count. The resident gate fails the binary if the
- * summed session bytes exceed budget + slack at any scale — 256
- * tenants must not cost more resident session memory than 64.
+ * Every service runs under a fixed resident-byte budget and a
+ * session budget one below the app count: sessions are evicted
+ * LRU-first to named columnar archives, so the state the service
+ * keeps hot is bounded by the budget, not by tenant count. The
+ * resident gate fails the binary if the summed session bytes exceed
+ * budget + slack at any scale — 256 tenants must not cost more
+ * resident session memory than 64.
  *
- * After draining, refreshAll() is timed twice: once doing the real
- * incremental re-cluster, once answered entirely from the memoized
- * selections. The benchmark re-derives the first (evicted at large
- * scales) and last tenants' selections with a one-shot
- * selectSubset() over a sealed database and asserts bitwise identity
- * — and a pool-width sweep at widths {1, 4} repeats the oracle check
- * for services that evict every drained session plus a direct
- * evict-mid-stream / rehydrate session, pinning the service's central
- * contract in the same binary that reports its speed.
+ * After draining, refreshAll() is timed (every answer comes from the
+ * memoized selections). The benchmark re-derives the first and last
+ * tenants' selections with a one-shot selectSubset() over the
+ * session's database (reopened from the archive when evicted) and
+ * asserts bitwise identity — and a pool-width sweep at widths {1, 4}
+ * repeats the oracle check for services that evict every session,
+ * pinning the service's central contract in the same binary that
+ * reports its speed.
  *
  *     cd /path/to/repo && build/bench/service_throughput
  *
@@ -39,7 +40,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -64,9 +64,12 @@ const std::vector<std::string> benchApps = {
     "cb-histogram-image",
 };
 
-/** Resident-byte budget every scale point runs under. Small enough
- * that the 64- and 256-tenant points must evict to stay inside it. */
+/** Resident-byte budget every scale point runs under. */
 constexpr uint64_t residentBudgetBytes = 4ull << 20;
+
+/** Resident-session budget: one below the app count, so every scale
+ * point evicts (one sealed database per app fits the byte budget). */
+const size_t residentSessionBudget = benchApps.size() - 1;
 
 /** Eviction residue + in-flight-feed slack the resident gate allows
  * on top of the configured budget. */
@@ -117,10 +120,10 @@ assertSameSelection(const core::SubsetSelection &got,
               where, ": instruction totals diverge");
 }
 
-/** One-shot oracle: seal the session's database (read back from its
- * archive when the session is evicted) and re-derive every
- * configured selection with batch selectSubset(); all artifacts must
- * match the incrementally refreshed state bit for bit. */
+/** One-shot oracle: the session's database (read back from its
+ * archive when the session is evicted) and every configured
+ * selection re-derived with batch selectSubset(); all artifacts must
+ * match the session's bit for bit. */
 void
 verifySession(serve::WorkloadSession &session,
               const serve::ServiceConfig &cfg,
@@ -147,7 +150,7 @@ struct ScaleResult
     uint64_t replays = 0, artifactHits = 0;
     uint64_t evictions = 0;
     double submitS = 0.0, coldS = 0.0, warmS = 0.0;
-    double refreshS = 0.0, refreshMemoS = 0.0;
+    double refreshS = 0.0;
     uint64_t residentSessionBytes = 0, memoBytes = 0;
     uint64_t evictedResidueBytes = 0;
     uint64_t footprintBytes = 0;
@@ -175,6 +178,7 @@ runScale(unsigned tenant_count,
 {
     serve::ServiceConfig cfg;
     cfg.maxResidentBytes = residentBudgetBytes;
+    cfg.maxResidentSessions = residentSessionBudget;
     cfg.archiveDir =
         benchArchiveDir("t" + std::to_string(tenant_count));
     serve::ProfilingService service(cfg);
@@ -191,8 +195,8 @@ runScale(unsigned tenant_count,
     r.tenants = tenant_count;
     r.coldS = secondsSince(t0);
 
-    // Warm set: every later tenant hits the replay-artifact cache
-    // and bulk-appends inline in submit().
+    // Warm set: every later tenant's submit() takes a reference to
+    // the session of its recording.
     auto warm0 = std::chrono::steady_clock::now();
     for (unsigned t = 1; t < tenant_count; ++t) {
         ids.push_back(
@@ -214,28 +218,20 @@ runScale(unsigned tenant_count,
 
     // Resident memory after the drain: everything over budget has
     // been evicted to the archive, so session bytes are bounded by
-    // the budget, not the tenant count.
+    // the budgets, not the tenant count.
     serve::ServiceFootprint fp = service.memoryFootprint();
     r.residentSessionBytes = fp.sessionBytes;
     r.memoBytes = fp.memoBytes;
     r.evictedResidueBytes = fp.evictedResidueBytes;
     r.footprintBytes = fp.totalBytes;
 
-    // First refresh does the incremental re-cluster (evicted
-    // sessions answer from the memo sealed at eviction); the second
-    // is answered entirely from the memoized selections.
     t0 = std::chrono::steady_clock::now();
     service.refreshAll();
     r.refreshS = secondsSince(t0);
-    t0 = std::chrono::steady_clock::now();
-    service.refreshAll();
-    r.refreshMemoS = secondsSince(t0);
 
-    // Oracle differential on the first tenant (evicted to the
-    // archive at the larger scales — LRU evicts the oldest first)
-    // and the last (still resident); every tenant was fed the
-    // identical stream, and the service tests cover the exhaustive
-    // per-session sweep.
+    // Oracle differential on the first and last tenants; every
+    // tenant shares the same sessions, and the service tests cover
+    // the exhaustive sweep.
     for (unsigned t : {0u, tenant_count - 1}) {
         for (size_t w = 0; w < recordings.size(); ++w) {
             verifySession(service.session(ids[t], w), cfg,
@@ -254,103 +250,62 @@ runScale(unsigned tenant_count,
 }
 
 /**
- * Selection determinism across pool widths, covering the evicted
- * and rehydrated lifecycles the scale runs only sample:
- *
- *  - a service with a session budget of 0, which evicts every
- *    drained session (each answers from a memo sealed at eviction,
- *    databases reopen from the archive);
- *  - a direct session evicted mid-stream whose tail rows force a
- *    rehydrate before the final refresh.
- *
- * Every selection must equal the one-shot oracle and be bitwise
- * identical across widths.
+ * Selection determinism across pool widths, with a session budget of
+ * 0, which evicts every session: each answers from its memoized
+ * selections and its database reopens from the archive. Every
+ * selection must equal the one-shot oracle and be bitwise identical
+ * across widths.
  */
 void
 poolWidthSweep(const std::vector<cfl::Recording> &recordings)
 {
     const unsigned widths[] = {1, 4};
-    std::vector<std::vector<core::SubsetSelection>> service_sels;
-    std::vector<std::vector<core::SubsetSelection>> rehydrate_sels;
+    std::vector<std::vector<core::SubsetSelection>> sels_by_width;
 
     for (unsigned width : widths) {
         sched::ThreadPool pool(width);
         serve::ServiceConfig cfg;
         cfg.pool = &pool;
-        cfg.maxResidentSessions = 0; // evict every drained session
+        cfg.maxResidentSessions = 0; // evict every session
         cfg.archiveDir =
             benchArchiveDir("w" + std::to_string(width));
 
-        {
-            serve::ProfilingService service(cfg);
-            auto tenant = service.openTenant("sweep");
-            for (size_t w = 0; w < recordings.size(); ++w)
-                service.submit(tenant, benchApps[w], recordings[w]);
-            service.drain();
-            service.refreshAll();
-            GT_ASSERT(service.stats().sessions.evictions ==
-                          recordings.size(),
-                      "session budget 0 left sessions resident");
+        serve::ProfilingService service(cfg);
+        auto tenant = service.openTenant("sweep");
+        for (size_t w = 0; w < recordings.size(); ++w)
+            service.submit(tenant, benchApps[w], recordings[w]);
+        service.drain();
+        service.refreshAll();
+        GT_ASSERT(service.stats().sessions.evictions ==
+                      recordings.size(),
+                  "session budget 0 left sessions resident");
 
-            std::vector<core::SubsetSelection> sels;
-            for (size_t w = 0; w < recordings.size(); ++w) {
-                serve::WorkloadSession &session =
-                    service.session(tenant, w);
-                verifySession(session, cfg,
-                              benchApps[w] + "@width" +
-                                  std::to_string(width));
-                for (size_t c = 0; c < cfg.selections.size(); ++c)
-                    sels.push_back(session.selection(c));
-            }
-            service_sels.push_back(std::move(sels));
-        }
-
-        // Evict mid-stream, then rehydrate through the tail rows.
-        const core::ProfiledApp &app =
-            bench::profiledApp(benchApps[0]);
-        std::vector<core::DispatchRecord> rows;
-        for (uint64_t d = 0; d < app.db.numDispatches(); ++d) {
-            rows.push_back({app.db.profileAt(d), app.db.seconds(d),
-                            app.db.syncEpoch(d)});
-        }
-        const std::span<const core::DispatchRecord> all(rows);
-        const size_t half = rows.size() / 2;
-
-        serve::WorkloadSession session(benchApps[0], cfg, pool);
-        session.addDispatches(all.first(half));
-        session.evict(benchArchiveDir("rehydrate-w" +
-                                      std::to_string(width)) +
-                      ".gtar");
-        GT_ASSERT(session.isEvicted(),
-                  "mid-stream eviction did not stick");
-        session.addDispatches(all.subspan(half));
-        GT_ASSERT(!session.isEvicted(),
-                  "tail rows did not rehydrate the session");
-        GT_ASSERT(session.stats().rehydrations == 1,
-                  "expected exactly one rehydration");
-        session.refresh();
-        verifySession(session, cfg,
-                      "rehydrate@width" + std::to_string(width));
         std::vector<core::SubsetSelection> sels;
-        for (size_t c = 0; c < cfg.selections.size(); ++c)
-            sels.push_back(session.selection(c));
-        rehydrate_sels.push_back(std::move(sels));
+        for (size_t w = 0; w < recordings.size(); ++w) {
+            serve::WorkloadSession &session =
+                service.session(tenant, w);
+            verifySession(session, cfg,
+                          benchApps[w] + "@width" +
+                              std::to_string(width));
+            for (size_t c = 0; c < cfg.selections.size(); ++c)
+                sels.push_back(session.selection(c));
+        }
+        sels_by_width.push_back(std::move(sels));
     }
 
-    for (auto *group : {&service_sels, &rehydrate_sels}) {
-        for (size_t i = 1; i < group->size(); ++i) {
-            GT_ASSERT((*group)[i].size() == (*group)[0].size(),
-                      "pool-width sweep selection count diverges");
-            for (size_t s = 0; s < (*group)[i].size(); ++s) {
-                assertSameSelection((*group)[i][s], (*group)[0][s],
-                                    "pool width " +
-                                        std::to_string(widths[i]) +
-                                        " vs 1");
-            }
+    for (size_t i = 1; i < sels_by_width.size(); ++i) {
+        GT_ASSERT(sels_by_width[i].size() == sels_by_width[0].size(),
+                  "pool-width sweep selection count diverges");
+        for (size_t s = 0; s < sels_by_width[i].size(); ++s) {
+            assertSameSelection(sels_by_width[i][s],
+                                sels_by_width[0][s],
+                                "pool width " +
+                                    std::to_string(widths[i]) +
+                                    " vs 1");
         }
     }
-    std::cout << "pool-width sweep {1,4}: evicted + rehydrated "
-                 "selections bitwise == one-shot oracle\n";
+    std::cout << "pool-width sweep {1,4}: evicted selections "
+                 "bitwise == one-shot oracle\n";
 }
 
 } // anonymous namespace
@@ -401,8 +356,6 @@ main(int argc, char **argv)
                   << fixed(r.coldPerWorkloadS() * 1e3, 2)
                   << " ms; refresh "
                   << fixed(r.refreshS * 1000.0, 1)
-                  << " ms, memoized "
-                  << fixed(r.refreshMemoS * 1000.0, 1)
                   << " ms; selections bitwise == one-shot oracle\n";
     }
 
@@ -414,8 +367,8 @@ main(int argc, char **argv)
               << " tenants vs 1): " << fixed(scaling, 1) << "x\n";
 
     // Warm-vs-cold speedup: geometric mean over every multi-tenant
-    // scale of (cold replay latency / warm cached-append latency)
-    // per workload.
+    // scale of (cold replay latency / warm reference latency) per
+    // workload.
     bench::GeoMean warm_speedup;
     for (const ScaleResult &r : results) {
         if (r.tenants > 1 && r.warmPerWorkloadS() > 0.0) {
@@ -455,11 +408,12 @@ main(int argc, char **argv)
             .field("memo_bytes", r.memoBytes)
             .field("evicted_residue_bytes", r.evictedResidueBytes)
             .field("footprint_bytes", r.footprintBytes)
-            .field("refresh_s", r.refreshS)
-            .field("refresh_memo_s", r.refreshMemoS);
+            .field("refresh_s", r.refreshS);
     }
     const serve::ServiceStats &top = results.back().stats;
     report.scalar("resident_budget_bytes", residentBudgetBytes);
+    report.scalar("resident_session_budget",
+                  (uint64_t)residentSessionBudget);
     report.scalar("plan_cache_builds", top.planCache.builds);
     report.scalar("plan_cache_hits", top.planCache.hits);
     report.scalar("sessions_reclustered", top.sessions.reclustered);

@@ -8,8 +8,8 @@
  * A large deterministic synthetic suite (hundreds of thousands of
  * joined dispatches) is joined once into builder rows and once into
  * a sealed database, then both serve the paper's post-profiling
- * access pattern — interval building under all three schemes,
- * feature lowering, whole-suite extraction, per-dispatch profile
+ * access pattern — interval division under all three schemes,
+ * feature lowering and per-interval extraction, per-dispatch profile
  * scans, and a random mix of range queries — with every result
  * compared bitwise between the two. Two gates are enforced:
  *
@@ -24,14 +24,16 @@
  * BENCH_tracedb.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <unordered_map>
 
 #include "bench/harness.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
-#include "core/feature_engine.hh"
+#include "core/features.hh"
 #include "core/interval.hh"
 #include "core/trace_db.hh"
 
@@ -116,13 +118,156 @@ makeInputs(uint64_t n)
 }
 
 /**
+ * Divide the @p n dispatches of @p db into @p scheme's intervals
+ * through the accessor API (buildIntervals()' boundary rules, with
+ * the approx chunk size fixed at 1/1000 of the total).
+ */
+template <class DB>
+std::vector<core::Interval>
+divide(const DB &db, uint64_t n, core::IntervalScheme scheme)
+{
+    const uint64_t target =
+        std::max<uint64_t>(1, db.totalInstrs() / 1000);
+    std::vector<core::Interval> out;
+    core::Interval cur;
+    for (uint64_t i = 0; i < n; ++i) {
+        bool boundary = scheme == core::IntervalScheme::SingleKernel ||
+                        db.syncEpoch(i) != db.syncEpoch(cur.firstDispatch);
+        if (scheme == core::IntervalScheme::ApproxInstructions)
+            boundary = boundary || cur.instrs >= target;
+        if (i > 0 && boundary) {
+            out.push_back(cur);
+            cur = core::Interval{};
+            cur.firstDispatch = i;
+        }
+        cur.lastDispatch = i;
+        cur.instrs += db.rangeInstrs(i, i);
+        cur.seconds += db.seconds(i);
+    }
+    out.push_back(cur);
+    return out;
+}
+
+/**
+ * The FeatureEngine's work over the @p n dispatches of @p db, done
+ * through the accessor API both sides share: lower every profile's
+ * kernel and block keys into interned sparse columns (CSR over
+ * dispatches) and rank them by key, as DispatchFeatureCache does,
+ * then merge, sort and normalize each of @p kept's intervals over
+ * the kernel and the block columns. Returns a checksum of the
+ * normalized values.
+ */
+template <class DB>
+double
+lowerAndExtract(const DB &db, uint64_t n,
+                const std::vector<core::Interval> &kept)
+{
+    using namespace core::detail;
+    struct Stream
+    {
+        std::vector<uint64_t> offsets{0};
+        std::vector<uint32_t> cols;
+        std::vector<double> values;
+    };
+    Stream kernels, blocks;
+    std::unordered_map<uint64_t, uint32_t> id_of;
+    std::vector<uint64_t> keys;
+    auto push = [&](Stream &stream, uint64_t key, double value) {
+        if (value == 0.0)
+            return;
+        auto [it, fresh] = id_of.emplace(key, (uint32_t)keys.size());
+        if (fresh)
+            keys.push_back(key);
+        stream.cols.push_back(it->second);
+        stream.values.push_back(value);
+    };
+    for (uint64_t d = 0; d < n; ++d) {
+        const gtpin::DispatchProfile &p = db.profileAt(d);
+        p.checkShape();
+        const double instrs = (double)p.instrs;
+        push(kernels, mixFeatureKey(p.kernelId, 0, 0, tagBase), instrs);
+        push(kernels, mixFeatureKey(p.kernelId, p.argsHash, 0, tagBase),
+             instrs);
+        push(kernels,
+             mixFeatureKey(p.kernelId, 0, p.globalWorkSize, tagBase),
+             instrs);
+        push(kernels,
+             mixFeatureKey(p.kernelId, p.argsHash, p.globalWorkSize,
+                           tagBase),
+             instrs);
+        push(kernels, mixFeatureKey(p.kernelId, 0, 0, tagRead),
+             (double)p.bytesRead);
+        push(kernels, mixFeatureKey(p.kernelId, 0, 0, tagWrite),
+             (double)p.bytesWritten);
+        for (size_t b = 0; b < p.blockCounts.size(); ++b) {
+            if (p.blockCounts[b] == 0)
+                continue;
+            const double count = (double)p.blockCounts[b];
+            const double read = count * p.blockReadBytes[b];
+            const double written = count * p.blockWriteBytes[b];
+            push(blocks, mixFeatureKey(p.kernelId, b, 0, tagBase),
+                 count * p.blockLens[b]);
+            push(blocks, mixFeatureKey(p.kernelId, b, 0, tagRead), read);
+            push(blocks, mixFeatureKey(p.kernelId, b, 0, tagWrite),
+                 written);
+            push(blocks, mixFeatureKey(p.kernelId, b, 0, tagReadWrite),
+                 read + written);
+        }
+        kernels.offsets.push_back(kernels.cols.size());
+        blocks.offsets.push_back(blocks.cols.size());
+    }
+
+    // Rank the columns so ascending column order is ascending key
+    // order.
+    std::vector<uint32_t> order(keys.size());
+    for (uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+    std::vector<uint32_t> rank_of(keys.size());
+    for (uint32_t rank = 0; rank < order.size(); ++rank)
+        rank_of[order[rank]] = rank;
+    for (Stream *stream : {&kernels, &blocks}) {
+        for (uint32_t &col : stream->cols)
+            col = rank_of[col];
+    }
+
+    double checksum = 0.0;
+    std::vector<double> acc(keys.size(), 0.0);
+    std::vector<bool> seen(keys.size(), false);
+    std::vector<uint32_t> touched;
+    for (const Stream *stream : {&kernels, &blocks}) {
+        for (const core::Interval &iv : kept) {
+            touched.clear();
+            for (uint64_t i = stream->offsets[iv.firstDispatch];
+                 i < stream->offsets[iv.lastDispatch + 1]; ++i) {
+                const uint32_t col = stream->cols[i];
+                if (!seen[col]) {
+                    seen[col] = true;
+                    acc[col] = 0.0;
+                    touched.push_back(col);
+                }
+                acc[col] += stream->values[i];
+            }
+            std::sort(touched.begin(), touched.end());
+            double sum = 0.0;
+            for (uint32_t col : touched)
+                sum += acc[col];
+            for (uint32_t col : touched) {
+                checksum += acc[col] / sum;
+                seen[col] = false;
+            }
+        }
+    }
+    return checksum;
+}
+
+/**
  * One pass of the post-profiling access pattern over the @p n
  * dispatches of @p db (a sealed database or builder rows, which share
- * the accessor API); returns a
- * checksum folding every queried value, so the two can be compared
- * and the work cannot be dead-code-eliminated. Intervals and feature
- * columns are built through the streaming cores buildIntervals() and
- * the FeatureEngine run on, fed the same accessors.
+ * the accessor API); returns a checksum folding every queried value,
+ * so the two can be compared and the work cannot be
+ * dead-code-eliminated.
  */
 template <class DB>
 double
@@ -130,18 +275,13 @@ queryPass(const DB &db, uint64_t n)
 {
     double checksum = 0.0;
 
-    // Interval building under all three schemes (prefix queries).
+    // Interval division under all three schemes (prefix queries).
     std::vector<core::Interval> kept;
     for (core::IntervalScheme scheme :
          {core::IntervalScheme::SyncBounded,
           core::IntervalScheme::ApproxInstructions,
           core::IntervalScheme::SingleKernel}) {
-        core::IncrementalIntervals inc(
-            scheme, std::max<uint64_t>(1, db.totalInstrs() / 1000));
-        for (uint64_t i = 0; i < n; ++i)
-            inc.append(db.syncEpoch(i), db.rangeInstrs(i, i),
-                       db.seconds(i));
-        auto intervals = inc.snapshot();
+        std::vector<core::Interval> intervals = divide(db, n, scheme);
         checksum += (double)intervals.size();
         for (const core::Interval &iv : intervals) {
             checksum += iv.seconds + (double)(iv.instrs % 1021);
@@ -150,21 +290,7 @@ queryPass(const DB &db, uint64_t n)
             kept = std::move(intervals);
     }
 
-    // Feature lowering + whole-suite extraction (profile scans).
-    core::DispatchFeatureCache cache;
-    for (uint64_t d = 0; d < n; ++d)
-        cache.appendDispatch(db.profileAt(d));
-    cache.refreshColumns();
-    core::DispatchFeatureCache::Scratch scratch;
-    for (core::FeatureKind kind :
-         {core::FeatureKind::KN, core::FeatureKind::BB_R_W}) {
-        for (const core::Interval &iv : kept) {
-            core::FeatureVector vec = cache.extract(iv, kind, scratch);
-            vec.normalize();
-            for (double v : vec.values())
-                checksum += v;
-        }
-    }
+    checksum += lowerAndExtract(db, n, kept);
 
     // The validators' sequential per-dispatch profile walk.
     for (uint64_t d = 0; d < n; ++d)

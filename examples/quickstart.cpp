@@ -15,7 +15,7 @@
  *
  * With GT_SERVE=N set, the workload is instead recorded once and
  * submitted to N tenants of the profiling service; the report shows
- * the shared-cache and selection-refresh statistics.
+ * the shared-cache and session statistics.
  */
 
 #include <cstdlib>
@@ -83,42 +83,39 @@ serveDemo(unsigned tenants, const workloads::Workload &app)
     serve::ServiceStats st = service.stats();
     TextTable sharing({"metric", "value"});
     sharing.addRow({"tenants", std::to_string(st.tenants)});
-    sharing.addRow({"workload sessions",
-                    std::to_string(st.workloads)});
+    sharing.addRow({"workloads", std::to_string(st.workloads)});
     sharing.addRow({"recordings replayed",
                     std::to_string(st.replays)});
-    sharing.addRow({"replay-artifact hits",
+    sharing.addRow({"shared-session hits",
                     std::to_string(st.artifactHits)});
     sharing.addRow({"kernel plans built",
                     std::to_string(st.planCache.builds)});
     sharing.addRow({"kernel plan hits",
                     std::to_string(st.planCache.hits)});
-    sharing.addRow({"dispatches fed",
+    sharing.addRow({"dispatches sealed",
                     std::to_string(st.sessions.dispatches)});
-    sharing.addRow({"configs re-clustered",
+    sharing.addRow({"configs clustered",
                     std::to_string(st.sessions.reclustered)});
-    sharing.addRow({"selections memoized",
+    sharing.addRow({"selections from memo",
                     std::to_string(st.sessions.reusedSelections)});
     sharing.print(std::cout,
                   "Cross-tenant sharing (content-addressed)");
     std::cout << "\n";
 
-    // Every tenant's selections are bitwise identical; show the
-    // first one's.
+    // Every tenant shares one session; show its selections.
     serve::WorkloadSession &session = service.session(ids[0], 0);
     const serve::ServiceConfig &cfg = service.config();
     TextTable sel({"scheme", "intervals", "selected", "sim fraction",
                    "speedup"});
     for (size_t c = 0; c < cfg.selections.size(); ++c) {
-        core::SubsetSelection s = session.selection(c);
+        const core::SubsetSelection &s = session.selection(c);
         sel.addRow({core::intervalSchemeName(s.scheme),
                     std::to_string(s.intervals.size()),
                     std::to_string(s.selected.size()),
                     pct(s.selectionFraction()),
                     fixed(s.speedup(), 1) + "x"});
     }
-    sel.print(std::cout,
-              "Refreshed selections (tenant-0, feature BB)");
+    sel.print(std::cout, "Session selections (feature BB)");
     return 0;
 }
 
@@ -135,11 +132,12 @@ printUsage(std::ostream &os)
           "  GT_SERVE=N             Instead of one batch profile,\n"
           "                         record the workload and submit it\n"
           "                         to N tenants of the profiling\n"
-          "                         service: replays share kernel\n"
-          "                         plans and replay artifacts by\n"
-          "                         content hash, and each session's\n"
-          "                         selections are bitwise identical\n"
-          "                         to a one-shot batch selection.\n"
+          "                         service: identical recordings\n"
+          "                         share one session by content\n"
+          "                         hash, replayed and clustered once,\n"
+          "                         whose selections are bitwise\n"
+          "                         identical to a one-shot batch\n"
+          "                         selection.\n"
           "  GT_THREADS=N           Worker threads for \"all\" and for\n"
           "                         service replays (default:\n"
           "                         hardware concurrency).\n";

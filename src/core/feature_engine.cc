@@ -10,14 +10,38 @@ namespace gt::core
 
 DispatchFeatureCache::DispatchFeatureCache(const TraceDatabase &db)
 {
+    // Lower with column ids in first-encounter order, then rank the
+    // keys once and rewrite every column id to its rank, so ascending
+    // column order is ascending key order — the map oracle's
+    // iteration order. Interned keys are distinct, so every rank is
+    // deterministic.
+    std::unordered_map<uint64_t, uint32_t> id_of;
+    std::vector<uint64_t> keys;
     for (uint64_t d = 0; d < db.numDispatches(); ++d)
-        appendDispatch(db.profileAt(d));
-    refreshColumns();
+        lower(db.profileAt(d), id_of, keys);
+
+    std::vector<uint32_t> order((uint32_t)keys.size());
+    for (uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return keys[a] < keys[b];
+    });
+    std::vector<uint32_t> rank_of(order.size());
+    colKeys.resize(order.size());
+    for (uint32_t rank = 0; rank < order.size(); ++rank) {
+        rank_of[order[rank]] = rank;
+        colKeys[rank] = keys[order[rank]];
+    }
+    for (Stream &stream : streams) {
+        for (uint32_t &col : stream.cols)
+            col = rank_of[col];
+    }
 }
 
 void
-DispatchFeatureCache::appendDispatch(
-    const gtpin::DispatchProfile &p)
+DispatchFeatureCache::lower(const gtpin::DispatchProfile &p,
+                            std::unordered_map<uint64_t, uint32_t> &id_of,
+                            std::vector<uint64_t> &keys)
 {
     using detail::mixFeatureKey;
     using detail::tagBase;
@@ -27,18 +51,13 @@ DispatchFeatureCache::appendDispatch(
 
     p.checkShape();
 
-    // Interim column ids are assigned in first-encounter order and
-    // never change, so already-lowered streams stay valid as more
-    // dispatches arrive; refreshColumns() re-derives the ascending-
-    // key ranks queries read through. Hash-colliding keys (however
-    // unlikely at 64 bits) intern to one column, matching the map
-    // oracle's merge of colliding contributions.
+    // Hash-colliding keys (however unlikely at 64 bits) intern to
+    // one column, matching the map oracle's merge of colliding
+    // contributions.
     auto intern = [&](uint64_t key) {
-        auto [it, inserted] = idOf.emplace(key, (uint32_t)idOf.size());
-        if (inserted) {
-            internKeys.push_back(key);
-            ranksStale = true;
-        }
+        auto [it, inserted] = id_of.emplace(key, (uint32_t)id_of.size());
+        if (inserted)
+            keys.push_back(key);
         return it->second;
     };
 
@@ -94,49 +113,6 @@ DispatchFeatureCache::appendDispatch(
     ++numDispatches;
 }
 
-void
-DispatchFeatureCache::refreshColumns()
-{
-    if (!ranksStale && colKeys.size() == internKeys.size())
-        return;
-
-    // Rank columns so that ascending rank order is ascending key
-    // order — the map oracle's iteration order. Interned keys are
-    // distinct, so the order (and thus every rank) is deterministic.
-    std::vector<uint32_t> order((uint32_t)internKeys.size());
-    for (uint32_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](uint32_t a, uint32_t b) {
-                  return internKeys[a] < internKeys[b];
-              });
-    rankOf.resize(order.size());
-    colKeys.resize(order.size());
-    for (uint32_t rank = 0; rank < order.size(); ++rank) {
-        rankOf[order[rank]] = rank;
-        colKeys[rank] = internKeys[order[rank]];
-    }
-    ranksStale = false;
-}
-
-uint64_t
-DispatchFeatureCache::memoryBytes() const
-{
-    uint64_t bytes = sizeof(*this);
-    for (const Stream &stream : streams) {
-        bytes += stream.offsets.size() * sizeof(uint64_t);
-        bytes += stream.cols.size() * sizeof(uint32_t);
-        bytes += stream.values.size() * sizeof(double);
-    }
-    // Hash-node estimate for the intern map: pair plus bucket link.
-    bytes += idOf.size() * (sizeof(uint64_t) + sizeof(uint32_t) +
-                            2 * sizeof(void *));
-    bytes += internKeys.size() * sizeof(uint64_t);
-    bytes += rankOf.size() * sizeof(uint32_t);
-    bytes += colKeys.size() * sizeof(uint64_t);
-    return bytes;
-}
-
 std::array<DispatchFeatureCache::StreamId, 3>
 DispatchFeatureCache::streamsFor(FeatureKind kind, int &count)
 {
@@ -183,9 +159,6 @@ DispatchFeatureCache::accumulate(const Interval &interval,
 {
     GT_ASSERT(interval.lastDispatch < numDispatches,
               "interval out of range");
-    GT_ASSERT(!ranksStale,
-              "query on a stale cache: call refreshColumns() after "
-              "appending dispatches");
 
     if (scratch.acc.size() != colKeys.size()) {
         scratch.acc.assign(colKeys.size(), 0.0);
@@ -212,7 +185,7 @@ DispatchFeatureCache::accumulate(const Interval &interval,
             const Stream &stream = streams[list[(size_t)s]];
             for (uint64_t i = stream.offsets[d];
                  i < stream.offsets[d + 1]; ++i) {
-                uint32_t col = rankOf[stream.cols[i]];
+                uint32_t col = stream.cols[i];
                 if (scratch.epoch[col] != scratch.generation) {
                     scratch.epoch[col] = scratch.generation;
                     scratch.acc[col] = stream.values[i];

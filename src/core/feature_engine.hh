@@ -56,41 +56,14 @@ namespace gt::core
 class DispatchFeatureCache
 {
   public:
-    /** Empty cache for incremental construction: appendDispatch()
-     * one dispatch at a time, refreshColumns() before querying. */
-    DispatchFeatureCache() = default;
-
-    /** Batch construction: appends every dispatch of @p db, then
-     * refreshes — one code path with the incremental form, so the
-     * two are bitwise identical by construction. */
+    /** Lower every dispatch profile of @p db (see the file
+     * comment). */
     explicit DispatchFeatureCache(const TraceDatabase &db);
-
-    /**
-     * Lower one dispatch profile into the contribution streams.
-     * Dispatches must arrive in order (dispatch d is the d-th call).
-     * Interning assigns interim column ids in first-encounter order;
-     * queries read them through a rank indirection refreshed by
-     * refreshColumns(), so appending never rewrites lowered streams.
-     */
-    void appendDispatch(const gtpin::DispatchProfile &profile);
-
-    /**
-     * Recompute the ascending-key column order after a batch of
-     * appends. Cheap no-op when no new key was interned. Queries
-     * (extract / projectInto) require fresh ranks; the service calls
-     * this once per refresh, not per dispatch.
-     */
-    void refreshColumns();
 
     /** All distinct feature keys of the workload, ascending. */
     const std::vector<uint64_t> &uniqueKeys() const { return colKeys; }
 
     size_t numKeys() const { return colKeys.size(); }
-
-    /** Approximate resident bytes of the lowered streams and intern
-     * tables — what session eviction reclaims (deterministic element
-     * sums, not allocator truth). */
-    uint64_t memoryBytes() const;
 
     /**
      * Reusable per-caller accumulation state for extract(). One
@@ -143,15 +116,20 @@ class DispatchFeatureCache
     };
 
     /** One contribution stream: CSR over dispatches. Column ids are
-     * interim intern ids (first-encounter order, append-stable);
-     * rankOf maps them to ascending-key ranks at query time, so
-     * ascending rank order equals ascending key order. */
+     * ranks into colKeys, so ascending column order is ascending key
+     * order. */
     struct Stream
     {
         std::vector<uint64_t> offsets = {0}; //!< numDispatches + 1
         std::vector<uint32_t> cols;
         std::vector<double> values;
     };
+
+    /** Lower one dispatch profile into the streams, with column ids
+     * interned in first-encounter order into @p id_of / @p keys. */
+    void lower(const gtpin::DispatchProfile &profile,
+               std::unordered_map<uint64_t, uint32_t> &id_of,
+               std::vector<uint64_t> &keys);
 
     /** The streams @p kind merges, in the oracle's per-dispatch
      * emission order (base first, then memory dims). */
@@ -165,12 +143,8 @@ class DispatchFeatureCache
                     Scratch &scratch) const;
 
     std::array<Stream, numStreams> streams;
-    std::unordered_map<uint64_t, uint32_t> idOf; //!< key -> interim id
-    std::vector<uint64_t> internKeys; //!< key per interim id
-    std::vector<uint32_t> rankOf;     //!< interim id -> key rank
-    std::vector<uint64_t> colKeys;    //!< ascending
+    std::vector<uint64_t> colKeys; //!< ascending
     uint64_t numDispatches = 0;
-    bool ranksStale = false;
 };
 
 /**

@@ -32,104 +32,46 @@ buildIntervals(const TraceDatabase &db, IntervalScheme scheme,
 {
     const uint64_t num = db.numDispatches();
     GT_ASSERT(num > 0, "interval build on empty trace");
-
-    // Resolve the approx default here, where the final total is
-    // known, so the streaming core below runs its O(1) fixed-target
-    // path. The per-dispatch feeds read the same precomputed columns
-    // the previous batch loop did: exact integer prefix deltas and
-    // the dense seconds column, accumulated left-to-right.
     if (target_instrs == 0)
         target_instrs = std::max<uint64_t>(1, db.totalInstrs() / 1000);
 
-    IncrementalIntervals inc(scheme, target_instrs);
+    std::vector<Interval> out;
+    Interval cur;
+    uint64_t cur_epoch = db.syncEpoch(0);
     const double *seconds = db.secondsData();
-    for (uint64_t i = 0; i < num; ++i)
-        inc.append(db.syncEpoch(i), db.rangeInstrs(i, i), seconds[i]);
-    return inc.snapshot();
-}
-
-IncrementalIntervals::IncrementalIntervals(IntervalScheme scheme,
-                                           uint64_t target_instrs)
-    : kind(scheme), target(target_instrs)
-{
-}
-
-void
-IncrementalIntervals::append(uint64_t sync_epoch, uint64_t instrs,
-                             double seconds)
-{
-    // The retained columns exist only to re-derive the approx chunk
-    // size from the final total at snapshot time.
-    const bool derive_target =
-        kind == IntervalScheme::ApproxInstructions && target == 0;
-    if (derive_target) {
-        epochCol.push_back(sync_epoch);
-        instrCol.push_back(instrs);
-        secondsCol.push_back(seconds);
-    }
-
-    if (open && !derive_target) {
+    for (uint64_t i = 0; i < num; ++i) {
+        const uint64_t epoch = db.syncEpoch(i);
         bool boundary = false;
-        switch (kind) {
+        switch (scheme) {
           case IntervalScheme::SyncBounded:
-            boundary = sync_epoch != curEpoch;
+            boundary = epoch != cur_epoch;
             break;
           case IntervalScheme::ApproxInstructions:
             // Close at sync epochs always; otherwise once the chunk
             // has reached the target. A kernel invocation is never
             // split, so chunks may overshoot — that is the
-            // "approximately" in the paper's name. cur.instrs is the
-            // exact count of everything before this dispatch, the
-            // same value the batch loop reads off the prefix sums.
-            boundary = sync_epoch != curEpoch ||
-                cur.instrs >= target;
+            // "approximately" in the paper's name.
+            boundary = epoch != cur_epoch || cur.instrs >= target_instrs;
             break;
           case IntervalScheme::SingleKernel:
             boundary = true;
             break;
         }
-        if (boundary) {
-            completed.push_back(cur);
-            open = false;
+        if (i > 0 && boundary) {
+            out.push_back(cur);
+            cur = Interval{};
+            cur.firstDispatch = i;
+            cur_epoch = epoch;
         }
+        // Left-to-right accumulation per interval — the FP order
+        // rangeSeconds() uses over the same range, so the seconds
+        // match it bitwise.
+        cur.lastDispatch = i;
+        cur.instrs += db.rangeInstrs(i, i);
+        cur.seconds += seconds[i];
     }
-
-    if (!open) {
-        cur = Interval{};
-        cur.firstDispatch = n;
-        curEpoch = sync_epoch;
-        open = true;
-    }
-
-    // Left-to-right accumulation per interval — the identical FP
-    // order rangeSeconds() uses when the batch loop closes the same
-    // interval, so the seconds match bitwise.
-    cur.lastDispatch = n;
-    cur.instrs += instrs;
-    cur.seconds += seconds;
-    instrTotal += instrs;
-    ++n;
-}
-
-std::vector<Interval>
-IncrementalIntervals::snapshot() const
-{
-    if (kind == IntervalScheme::ApproxInstructions && target == 0) {
-        return rescan(std::max<uint64_t>(1, instrTotal / 1000));
-    }
-    std::vector<Interval> out = completed;
-    if (open)
-        out.push_back(cur);
+    out.push_back(cur);
     return out;
-}
-
-std::vector<Interval>
-IncrementalIntervals::rescan(uint64_t resolved_target) const
-{
-    IncrementalIntervals inc(kind, resolved_target);
-    for (uint64_t i = 0; i < n; ++i)
-        inc.append(epochCol[i], instrCol[i], secondsCol[i]);
-    return inc.snapshot();
 }
 
 IntervalStats

@@ -72,91 +72,6 @@ std::vector<Interval> buildIntervals(const TraceDatabase &db,
                                      IntervalScheme scheme,
                                      uint64_t target_instrs = 0);
 
-/**
- * Incremental interval division: the same boundary logic as
- * buildIntervals(), maintained one dispatch at a time as a session
- * appends rows. buildIntervals() is implemented on top of this class
- * (feed every dispatch, snapshot once), so the incremental and batch
- * paths cannot drift — the differential tests pin the equivalence
- * across schemes, targets, and chunk sizes.
- *
- * Closed intervals are final the moment the boundary passes them, so
- * a snapshot() costs one vector copy plus closing the open tail —
- * O(intervals), not O(dispatches). The exception is
- * ApproxInstructions with target_instrs == 0: there the chunk size
- * is derived from the *final* total instruction count, which a
- * prefix cannot know, so snapshot() re-divides from retained
- * per-dispatch columns (still bitwise equal to the batch result at
- * every prefix).
- */
-class IncrementalIntervals
-{
-  public:
-    explicit IncrementalIntervals(IntervalScheme scheme,
-                                  uint64_t target_instrs = 0);
-
-    /** Feed the next dispatch in order: its sync epoch, dynamic
-     * instructions, and kernel seconds. */
-    void append(uint64_t sync_epoch, uint64_t instrs, double seconds);
-
-    /**
-     * The interval division over everything appended so far —
-     * bitwise identical (boundaries, instruction counts, seconds) to
-     * buildIntervals() on a database sealed at this prefix.
-     */
-    std::vector<Interval> snapshot() const;
-
-    uint64_t numDispatches() const { return n; }
-
-    IntervalScheme scheme() const { return kind; }
-
-    /**
-     * Intervals already closed by a boundary. These are final — a
-     * snapshot() at any later prefix returns them unchanged. Always
-     * 0 for ApproxInstructions with target 0, where boundaries are
-     * only fixed by the final total (the snapshot rescan); no prefix
-     * is stable there.
-     */
-    size_t
-    numCompleted() const
-    {
-        if (kind == IntervalScheme::ApproxInstructions && target == 0)
-            return 0;
-        return completed.size();
-    }
-
-    /** Approximate resident bytes: closed intervals plus the
-     * retained rescan columns (the dominant term for approx with
-     * target 0). */
-    uint64_t
-    memoryBytes() const
-    {
-        return sizeof(*this) + completed.size() * sizeof(Interval) +
-               epochCol.size() * sizeof(uint64_t) +
-               instrCol.size() * sizeof(uint64_t) +
-               secondsCol.size() * sizeof(double);
-    }
-
-  private:
-    std::vector<Interval> rescan(uint64_t target) const;
-
-    IntervalScheme kind;
-    uint64_t target;  //!< 0 = derive from the running total (approx)
-    uint64_t n = 0;
-    uint64_t instrTotal = 0;
-
-    std::vector<Interval> completed;
-    Interval cur;
-    uint64_t curEpoch = 0;
-    bool open = false;
-
-    /** Retained columns for the target-derivation rescan; kept only
-     * when the scheme needs them (approx with target 0). */
-    std::vector<uint64_t> epochCol;
-    std::vector<uint64_t> instrCol;
-    std::vector<double> secondsCol;
-};
-
 /** Min/avg/max interval statistics for Table II. */
 struct IntervalStats
 {

@@ -39,13 +39,13 @@ struct InstrumentedRun
     InstrumentedRun(const InstrumentedRun &) = delete;
     InstrumentedRun &operator=(const InstrumentedRun &) = delete;
 
-    /** The run's joined dispatch rows (consumes the profiles). */
-    std::vector<DispatchRecord>
-    takeRows()
+    /** The run's joined trace database (consumes the profiles). */
+    TraceDatabase
+    seal()
     {
-        return TraceDatabase::join(profileTool.takeProfiles(),
-                                   tracer.kernelTimings(),
-                                   tracer.callStream());
+        return TraceDatabase::build(profileTool.takeProfiles(),
+                                    tracer.kernelTimings(),
+                                    tracer.callStream());
     }
 
     workloads::TemplateJit jit;
@@ -74,7 +74,7 @@ profileApp(const workloads::Workload &workload,
 
     ProfiledApp app;
     app.name = workload.info().name;
-    app.db = TraceDatabase::fromRows(run.takeRows());
+    app.db = run.seal();
     app.recording = recorder.take();
 
     const cfl::ApiTracer &tracer = run.tracer;
@@ -123,23 +123,15 @@ profileSuite(const std::vector<const workloads::Workload *> &apps,
     return results;
 }
 
-std::vector<DispatchRecord>
-replayRows(const cfl::Recording &recording,
-           const gpu::DeviceConfig &config,
-           const gpu::TrialConfig &trial, gpu::SharedPlanCache *plans,
-           gpu::SharedCheckpointCache *checkpoints)
-{
-    InstrumentedRun run(config, trial, plans, checkpoints);
-    cfl::replay(recording, run.runtime);
-    return run.takeRows();
-}
-
 TraceDatabase
 replayTrial(const cfl::Recording &recording,
             const gpu::DeviceConfig &config,
-            const gpu::TrialConfig &trial)
+            const gpu::TrialConfig &trial, gpu::SharedPlanCache *plans,
+            gpu::SharedCheckpointCache *checkpoints)
 {
-    return TraceDatabase::fromRows(replayRows(recording, config, trial));
+    InstrumentedRun run(config, trial, plans, checkpoints);
+    cfl::replay(recording, run.runtime);
+    return run.seal();
 }
 
 } // namespace gt::core

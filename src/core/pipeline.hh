@@ -12,9 +12,9 @@
  * replayTrial() re-executes a recording under different conditions —
  * another trial seed, another GPU frequency, another architecture
  * generation — producing a new trace database against which a
- * trial-1 selection can be validated (Fig. 8). replayRows() is the
- * same replay returning the joined rows unsealed, for callers that
- * keep their own database state (the profiling service).
+ * trial-1 selection can be validated (Fig. 8). The profiling service
+ * replays every submitted recording through it too, sharing plan
+ * and checkpoint caches across tenants.
  */
 
 #ifndef GT_CORE_PIPELINE_HH
@@ -96,25 +96,20 @@ std::vector<ProfiledApp> profileSuite(
 
 /**
  * Replay @p recording on @p config under @p trial with profileApp()'s
- * GT-Pin tool set attached, returning the joined dispatch rows in
- * dispatch order. Instrumentation load shifts kernels' relative SPI,
- * so every replay carries the same tools the profiling run did, or
+ * GT-Pin tool set attached, returning the new trial's sealed
+ * database. Instrumentation load shifts kernels' relative SPI, so
+ * every replay carries the same tools the profiling run did, or
  * selections made on the profiling trial would be biased on
  * replays. The driver adopts and publishes execution plans and
  * checkpoints through @p plans and @p checkpoints when given.
  * Throws FatalError on a malformed recording.
  */
-std::vector<DispatchRecord>
-replayRows(const cfl::Recording &recording,
-           const gpu::DeviceConfig &config,
-           const gpu::TrialConfig &trial,
-           gpu::SharedPlanCache *plans = nullptr,
-           gpu::SharedCheckpointCache *checkpoints = nullptr);
-
-/** replayRows() sealed into the new trial's database. */
 TraceDatabase replayTrial(const cfl::Recording &recording,
                           const gpu::DeviceConfig &config,
-                          const gpu::TrialConfig &trial);
+                          const gpu::TrialConfig &trial,
+                          gpu::SharedPlanCache *plans = nullptr,
+                          gpu::SharedCheckpointCache *checkpoints =
+                              nullptr);
 
 } // namespace gt::core
 

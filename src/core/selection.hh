@@ -82,19 +82,16 @@ selectSubset(const TraceDatabase &db, IntervalScheme scheme,
              const FeatureEngine *engine = nullptr);
 
 /**
- * The selection tail shared by selectSubset() and the profiling
- * service's session refresh: cluster already-projected interval
- * @p points (one per interval, in interval order) and assemble the
- * SubsetSelection. Having exactly one implementation of this tail is
- * what makes a session refresh — intervals and feature columns built
- * as rows were appended, points projected through a fresh table —
- * bitwise identical to a one-shot selectSubset() over the same rows:
- * both paths feed the same points, weights, and options through the
- * same code.
+ * The selection tail of selectSubset(): cluster already-projected
+ * interval @p points (one per interval, in interval order) and
+ * assemble the SubsetSelection. A caller that projects points
+ * another way — the map-walk reference extractor the feature-engine
+ * benchmark times — feeds the clusterer through exactly the code
+ * selectSubset() runs.
  *
  * @param total_instrs whole-program instruction total the selection
- *        fraction is measured against (db.totalInstrs() in the batch
- *        path).
+ *        fraction is measured against (db.totalInstrs() in
+ *        selectSubset()).
  */
 SubsetSelection
 selectFromProjected(IntervalScheme scheme, FeatureKind feature,

@@ -11,6 +11,8 @@ namespace gt::core
 
 TraceDatabase::TraceDatabase() = default;
 TraceDatabase::~TraceDatabase() = default;
+TraceDatabase::TraceDatabase(const TraceDatabase &) = default;
+TraceDatabase &TraceDatabase::operator=(const TraceDatabase &) = default;
 TraceDatabase::TraceDatabase(TraceDatabase &&) noexcept = default;
 TraceDatabase &
 TraceDatabase::operator=(TraceDatabase &&) noexcept = default;
@@ -148,15 +150,6 @@ TraceDatabase::Builder::memoryBytes() const
     return bytes;
 }
 
-void
-TraceDatabase::Builder::writeArchive(const std::string &path,
-                                     uint32_t block_size) const
-{
-    trace_store::ColumnarOptions options;
-    options.blockSize = block_size;
-    trace_store::ColumnarStore::writeFile(records, path, options);
-}
-
 TraceDatabase
 TraceDatabase::Builder::seal(uint32_t block_size) const
 {
@@ -250,6 +243,13 @@ TraceDatabase::measuredSpi() const
 {
     GT_ASSERT(instrTotal > 0, "measured SPI of an empty database");
     return spiCached;
+}
+
+void
+TraceDatabase::writeArchive(const std::string &path) const
+{
+    GT_ASSERT(store, "archive of an empty database");
+    store->writeTo(path);
 }
 
 TraceDbFootprint

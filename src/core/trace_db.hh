@@ -99,6 +99,9 @@ class TraceDatabase
 
     TraceDatabase();
     ~TraceDatabase();
+    /** Copies share the immutable store. */
+    TraceDatabase(const TraceDatabase &);
+    TraceDatabase &operator=(const TraceDatabase &);
     TraceDatabase(TraceDatabase &&) noexcept;
     TraceDatabase &operator=(TraceDatabase &&) noexcept;
 
@@ -140,11 +143,10 @@ class TraceDatabase
           uint32_t block_size = trace_store::defaultBlockSize);
 
     /**
-     * Open a persistent columnar archive written by
-     * Builder::writeArchive(). The totals are recomputed from the
-     * mapped columns in the same left-to-right order build()
-     * accumulated them, so the result is bitwise identical to the
-     * database that was archived.
+     * Open a persistent columnar archive written by writeArchive().
+     * The totals are recomputed from the mapped columns in the same
+     * left-to-right order build() accumulated them, so the result is
+     * bitwise identical to the database that was archived.
      */
     static TraceDatabase openColumnarFile(const std::string &path);
 
@@ -200,6 +202,14 @@ class TraceDatabase
      * spill file, this thread's decode cache). */
     TraceDbFootprint memoryFootprint() const;
 
+    /**
+     * Write the sealed columnar file to a persistent archive at
+     * @p path: the spill's already-encoded bytes, copied as they
+     * are. openColumnarFile() reopens it bitwise identical. The
+     * database must not be empty.
+     */
+    void writeArchive(const std::string &path) const;
+
   private:
     uint64_t count = 0;
     uint64_t instrTotal = 0;
@@ -219,9 +229,7 @@ class TraceDatabase
  * totals, prefix sums and dense seconds column, accumulated in append
  * order — the FP order every path shares — so seal() after any number
  * of appends is bitwise identical to fromRows() over the same rows.
- * The profiling service keeps one per resident session and feeds it
- * whole replays; eviction writes its rows to an archive and
- * rehydration re-appends them.
+ * fromRows() seals every profiled run and replay through one.
  *
  * The prefix accessors mirror the TraceDatabase query API. Builders
  * are copyable — tests check every sealed accessor against the
@@ -277,20 +285,8 @@ class TraceDatabase::Builder
     }
 
     /** Resident bytes of the builder: joined records (including the
-     * profiles' heap) and the prefix/seconds columns. What session
-     * eviction reclaims. */
+     * profiles' heap) and the prefix/seconds columns. */
     uint64_t memoryBytes() const;
-
-    /**
-     * Write everything appended so far to a persistent named
-     * columnar archive at @p path (same format as the spill files,
-     * but kept). TraceDatabase::openColumnarFile() reopens it;
-     * re-feeding a builder from the reopened archive reproduces this
-     * builder's joined state bit for bit.
-     */
-    void writeArchive(const std::string &path,
-                      uint32_t block_size =
-                          trace_store::defaultBlockSize) const;
 
     /**
      * Produce the database for everything appended so far, spilled

@@ -366,19 +366,35 @@ ColumnarStore::spill(const std::vector<DispatchRecord> &records,
     return store;
 }
 
+namespace
+{
+
+void
+writeBytes(const uint8_t *data, uint64_t size, const std::string &path)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    if (!os)
+        fatal("trace store: cannot open '", path, "' for writing");
+    os.write((const char *)data, (std::streamsize)size);
+    if (!os)
+        fatal("trace store: write to '", path, "' failed");
+}
+
+} // anonymous namespace
+
 void
 ColumnarStore::writeFile(const std::vector<DispatchRecord> &records,
                          const std::string &path,
                          const ColumnarOptions &options)
 {
     std::vector<uint8_t> file = encodeFile(records, options);
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        fatal("trace store: cannot open '", path, "' for writing");
-    os.write((const char *)file.data(),
-             (std::streamsize)file.size());
-    if (!os)
-        fatal("trace store: write to '", path, "' failed");
+    writeBytes(file.data(), file.size(), path);
+}
+
+void
+ColumnarStore::writeTo(const std::string &path) const
+{
+    writeBytes(map, mapLen, path);
 }
 
 std::shared_ptr<const ColumnarStore>

@@ -107,6 +107,10 @@ class ColumnarStore
               const std::string &path,
               const ColumnarOptions &options = {});
 
+    /** Write this store's encoded file to @p path, byte for byte
+     * (no re-encode); openFile() reopens it. */
+    void writeTo(const std::string &path) const;
+
     /** Map and validate an existing columnar trace file. Fatal on
      * bad magic, version, truncation, or a corrupt index. */
     static std::shared_ptr<const ColumnarStore>

@@ -14,7 +14,9 @@
 #define GT_GPU_MEMORY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -22,13 +24,17 @@
 namespace gt::gpu
 {
 
-/** Flat device global memory with a bump allocator. */
+/**
+ * Flat device global memory with a bump allocator. The storage is
+ * demand-zero (calloc): a driver's 64 MB image costs only the pages
+ * its buffers touch, not an eager fault-in of the whole image.
+ */
 class DeviceMemory
 {
   public:
     explicit DeviceMemory(uint64_t size_bytes);
 
-    uint64_t size() const { return bytes.size(); }
+    uint64_t size() const { return len; }
 
     /**
      * Allocate @p size bytes aligned to @p align; returns the device
@@ -49,7 +55,7 @@ class DeviceMemory
     read8(uint64_t addr) const
     {
         checkRange(addr, 1);
-        return bytes[addr];
+        return bytes.get()[addr];
     }
 
     uint32_t
@@ -57,7 +63,7 @@ class DeviceMemory
     {
         checkRange(addr, 4);
         uint32_t v;
-        std::memcpy(&v, bytes.data() + addr, 4);
+        std::memcpy(&v, bytes.get() + addr, 4);
         return v;
     }
 
@@ -65,14 +71,14 @@ class DeviceMemory
     write8(uint64_t addr, uint8_t value)
     {
         checkRange(addr, 1);
-        bytes[addr] = value;
+        bytes.get()[addr] = value;
     }
 
     void
     write32(uint64_t addr, uint32_t value)
     {
         checkRange(addr, 4);
-        std::memcpy(bytes.data() + addr, &value, 4);
+        std::memcpy(bytes.get() + addr, &value, 4);
     }
 
     /**
@@ -80,8 +86,8 @@ class DeviceMemory
      * check over a whole batch (the gang executor's send loops);
      * callers are responsible for staying within size().
      */
-    uint8_t *data() { return bytes.data(); }
-    const uint8_t *data() const { return bytes.data(); }
+    uint8_t *data() { return bytes.get(); }
+    const uint8_t *data() const { return bytes.get(); }
 
     /** Bulk host<->device transfer helpers. */
     void copyIn(uint64_t addr, const void *src, uint64_t size);
@@ -92,13 +98,19 @@ class DeviceMemory
     void
     checkRange(uint64_t addr, uint64_t size) const
     {
-        if (addr + size > bytes.size() || addr + size < addr) {
+        if (addr + size > len || addr + size < addr) {
             panic("device memory access out of bounds: addr ", addr,
-                  " size ", size, " capacity ", bytes.size());
+                  " size ", size, " capacity ", len);
         }
     }
 
-    std::vector<uint8_t> bytes;
+    struct FreeDeleter
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<uint8_t, FreeDeleter> bytes;
+    uint64_t len = 0;
     uint64_t bumpPtr = 0;
 };
 

@@ -221,10 +221,13 @@ ThreadPool::parallelFor(size_t n,
     }
 
     // Lowest-index-first exception propagation keeps failure
-    // behavior deterministic too.
-    for (size_t c = 0; c < num_chunks; ++c) {
-        if (state->errors[c])
-            std::rethrow_exception(state->errors[c]);
+    // behavior deterministic too. The errors move to this thread
+    // first, so a helper dropping the last reference to the state
+    // never destroys an exception the caller is still reading.
+    std::vector<std::exception_ptr> errors = std::move(state->errors);
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include <sys/stat.h>
@@ -68,11 +69,12 @@ SessionArchive::SessionArchive(std::string directory)
 }
 
 std::string
-SessionArchive::pathFor(size_t tenant, size_t id,
+SessionArchive::pathFor(uint64_t recording,
                         const std::string &workload) const
 {
     std::ostringstream path;
-    path << dir << "/t" << tenant << "-w" << id << "-"
+    path << dir << "/r" << std::hex << std::setw(16)
+         << std::setfill('0') << recording << "-"
          << sanitize(workload) << ".gtar";
     return path.str();
 }

@@ -2,16 +2,16 @@
  * @file
  * Named on-disk archives for evicted workload sessions.
  *
- * When the profiling service seals an idle session's joined rows to
- * disk (see ProfilingService's lifecycle in service.hh), the bytes
- * must outlive the session object — late rows, a post-hoc
- * sealDatabase(), or a service restart has to find them again. A
- * spill-and-unlink file (what sealing a database creates) cannot do
- * that, so evictions write *named* archive files through this
- * catalog:
+ * When the profiling service evicts a session (see service.hh), its
+ * sealed database must stay reachable — sealDatabase() on the
+ * evicted session, or a later service pointed at the same directory,
+ * has to find it again. The database's own spill file is unlinked as
+ * soon as it is mapped, so evictions write *named* archive files
+ * through this catalog:
  *
  *  - each archived session gets a stable file name derived from its
- *    (tenant, workload, name) identity inside one archive directory;
+ *    recording's content hash and workload name inside one archive
+ *    directory;
  *  - a small text catalog (catalog.tsv: file, dispatch count,
  *    workload name) is rewritten atomically (temp file + rename) on
  *    every change, so the directory is self-describing;
@@ -20,9 +20,9 @@
  *    archived.
  *
  * The archive files themselves are ordinary GTCOLDB columnar trace
- * files (TraceDatabase::Builder::writeArchive /
- * TraceDatabase::openColumnarFile) — the catalog never parses them,
- * it only names them.
+ * files, the sealed database's bytes as they were
+ * (TraceDatabase::writeArchive / TraceDatabase::openColumnarFile) —
+ * the catalog never parses them, it only names them.
  *
  * Thread safety: all methods are internally locked; concurrent
  * evictions from different service threads may record entries at
@@ -62,11 +62,11 @@ class SessionArchive
 
     const std::string &directory() const { return dir; }
 
-    /** Full path an archive of (tenant @p tenant, workload @p id,
-     * named @p workload) is written to. Pure function of the
-     * identity — re-evicting the same session overwrites its own
-     * file. */
-    std::string pathFor(size_t tenant, size_t id,
+    /** Full path the archive of the session of recording hash
+     * @p recording, named @p workload, is written to. A pure
+     * function of the two, so the same session always maps to the
+     * same file. */
+    std::string pathFor(uint64_t recording,
                         const std::string &workload) const;
 
     /** Record (or update) the catalog row for @p path and rewrite

@@ -8,12 +8,16 @@
  * facility the way GT-Pin is deployed inside a design team: N
  * tenants (users, CI jobs, sweep drivers) each submit recorded API
  * streams (cfl::Recording), the service replays them on per-tenant
- * driver stacks sharing one thread pool, and each workload's
- * intervals, feature columns, and subset selections are kept in a
- * session. A session takes whole replays: its rows become visible
- * when the replay finishes, joined once by core::replayRows(), and a
- * refresh() answers with selections bitwise identical to a one-shot
- * selectSubset() over everything fed so far.
+ * driver stacks sharing one thread pool, and each workload's subset
+ * selections are answered from a session.
+ *
+ * A session is an immutable value built once per distinct recording:
+ * the replay's database, sealed by core::replayTrial(), and every
+ * configured selection, computed once through the batch
+ * core::selectSubset() with one FeatureEngine shared by all
+ * configurations — the code one-shot selection runs, so a session
+ * equals it by construction. Every submission of an identical
+ * recording, from any tenant, shares that one session.
  *
  * Cross-tenant sharing is content-addressed and immutable:
  *
@@ -22,81 +26,47 @@
  *    isa::contentHash, shared by every tenant driver;
  *  - gpu::SharedCheckpointCache — detailed-mode warm checkpoints
  *    keyed on (binary hash, dispatch shape);
- *  - the replay-artifact cache here — a replay's joined rows keyed
- *    on cfl::recordingContentHash, so the second tenant submitting
- *    an identical recording appends the cached rows instead of
- *    re-executing kernels. Admission is single-flight: a recording
- *    submitted while its first copy is still replaying attaches to
- *    that replay and is fed from its artifact when it lands, so each
- *    distinct recording replays once however submissions interleave
- *    with pool threads. The leader itself is fed from the artifact
- *    it publishes, so every session is fed through one path. On a
- *    single-core host this dedup, not thread parallelism, is what
- *    makes aggregate throughput scale with tenant count
+ *  - the session cache here — shared_ptr<WorkloadSession> keyed on
+ *    cfl::recordingContentHash. Admission is single-flight: the
+ *    first submission of a recording leads its replay; a copy
+ *    submitted while it replays waits as a follower, and a copy
+ *    submitted later is a warm hit. Followers and warm hits take a
+ *    reference to the leader's session, so warm admission is O(1):
+ *    nothing is replayed, re-lowered or re-clustered, and each
+ *    distinct recording replays and clusters once. On a single-core
+ *    host this dedup, not thread parallelism, is what makes
+ *    aggregate throughput scale with tenant count
  *    (bench/service_throughput gates it).
  *
  * All caches follow the repo's "fully built => const, shareable"
- * contract: artifacts are inserted only once complete, never mutated
- * afterwards, first insert wins, and lookups hand out
- * shared_ptr<const> (or stable const references) safe to read from
- * any thread.
+ * contract: entries are published only once complete and never
+ * mutated afterwards, so any thread may read them.
  *
- * A configuration is re-clustered only when its workload gained rows
- * since its last refresh; untouched configurations are answered from
- * the memoized selection. A re-cluster projects every interval
- * through the session's feature cache and a freshly built projection
- * table and calls core::selectFromProjected(), the same tail
- * selectSubset() runs.
+ * **Session eviction.** When the resident-session or resident-byte
+ * budget is exceeded, sessions are evicted in LRU order (a session
+ * budget of 0 evicts every session): the sealed database's encoded
+ * bytes are written to a named archive file under a small catalog
+ * (serve/archive.hh) and the database is dropped. The selections
+ * stay, so selection() and refresh() keep answering at no cost;
+ * sealDatabase() reopens the archive, bitwise identical to the
+ * database that was evicted.
  *
- * At hundreds of tenants the remaining scaling hazards are resident
- * session state (every drained workload used to keep its joined
- * records, feature columns, and interval state in memory forever)
- * and global cache mutexes. Three mechanisms close them:
- *
- *  - **Session eviction.** When the configured resident-session /
- *    resident-byte budget is exceeded, drained sessions are
- *    *evicted* in LRU order (a session budget of 0 evicts every
- *    drained session): selections are memoized, the joined rows are
- *    written to a named columnar archive file under a small catalog
- *    (serve/archive.hh), and the builder, feature cache, and
- *    interval state are dropped. While evicted, refresh() and
- *    selection() answer from the memo at near-zero cost; late rows
- *    (or a non-memo refresh) *rehydrate* the session by re-feeding
- *    the archived rows, after which every selection is bitwise
- *    identical to a never-evicted session's (the eviction
- *    differential tests pin this across budget thresholds).
- *  - **Warm admission.** A submit() whose recording content hash
- *    already has a replay artifact skips replay scheduling entirely:
- *    the cached rows append into the new session through
- *    WorkloadSession::addDispatches() — one lock, no admission slot,
- *    no pool hop. Warm submission is an O(rows) append on the
- *    calling thread, which is what the warm-vs-cold latency gate in
- *    bench/service_throughput measures.
- *  - **Sharded caches.** The plan, checkpoint (gpu/plan_cache.hh),
- *    and replay-artifact caches are striped by content hash, so
- *    tenants contend per stripe, never on one global mutex; stats
- *    remain exact.
- *
- * A replay that fails (a malformed recording) fails only its
- * workload and the copies waiting on it: drain() reports every such
- * workload in one FatalError, and a later submission of the same
- * recording replays afresh.
+ * A replay that fails (a malformed recording, or one without kernel
+ * dispatches) fails only its workload and the copies waiting on it:
+ * drain() reports every such workload in one FatalError, and a later
+ * submission of the same recording replays afresh.
  */
 
 #ifndef GT_SERVE_SERVICE_HH
 #define GT_SERVE_SERVICE_HH
 
-#include <array>
-#include <atomic>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
+#include <optional>
 #include <unordered_map>
 
 #include "cfl/recorder.hh"
-#include "core/feature_engine.hh"
-#include "core/interval.hh"
 #include "core/selection.hh"
 #include "gpu/plan_cache.hh"
 #include "sched/thread_pool.hh"
@@ -105,8 +75,8 @@
 namespace gt::serve
 {
 
-/** One (interval scheme, feature kind) selection configuration a
- * session keeps refreshed. */
+/** One (interval scheme, feature kind) selection configuration every
+ * session selects under. */
 struct SelectionConfig
 {
     core::IntervalScheme scheme = core::IntervalScheme::SyncBounded;
@@ -128,7 +98,7 @@ struct ServiceConfig
         {core::IntervalScheme::SingleKernel, core::FeatureKind::BB},
     };
 
-    /** Clustering options shared by every refresh; the service
+    /** Clustering options shared by every session; the service
      * threads its own pool through. */
     core::simpoint::ClusterOptions cluster = {};
 
@@ -145,23 +115,22 @@ struct ServiceConfig
      */
     unsigned replayWidth = 0;
 
-    /** Shared pool for replays and refresh clustering (null = the
+    /** Shared pool for replays and clustering (null = the
      * process-wide pool). */
     sched::ThreadPool *pool = nullptr;
 
     /**
      * Resident-session cap: when more than this many sessions hold
-     * live builder/feature state, drained sessions are evicted to
-     * the archive in LRU order. SIZE_MAX = never evict by count;
-     * 0 = evict every drained session.
+     * their sealed database, sessions are evicted to the archive in
+     * LRU order. SIZE_MAX = never evict by count; 0 = evict every
+     * session.
      */
     size_t maxResidentSessions = SIZE_MAX;
 
     /**
-     * Resident-byte budget over the summed per-session state
-     * (builders, feature caches, interval state — see
-     * WorkloadSession::memoryBytes). Exceeding it evicts drained
-     * sessions LRU-first until back under. UINT64_MAX = unbounded.
+     * Resident-byte budget over the summed per-session state (see
+     * WorkloadSession::memoryBytes). Exceeding it evicts sessions
+     * LRU-first until back under. UINT64_MAX = unbounded.
      */
     uint64_t maxResidentBytes = UINT64_MAX;
 
@@ -171,105 +140,72 @@ struct ServiceConfig
     std::string archiveDir;
 };
 
-/**
- * One complete replay outcome, cached across tenants by recording
- * content hash: the joined rows, in dispatch order. Immutable once
- * built (const through the shared_ptr), so any number of sessions
- * may append from it concurrently.
- */
-struct ReplayArtifact
-{
-    std::vector<core::DispatchRecord> rows;
-
-    /** Approximate resident bytes of the cached rows. */
-    uint64_t memoryBytes() const;
-};
-
 /** Per-session work counters (monotone; see stats()). */
 struct SessionStats
 {
-    uint64_t dispatches = 0;       //!< rows fed into the session
+    uint64_t dispatches = 0;       //!< dispatches in the database
     uint64_t refreshes = 0;        //!< refresh() calls
-    uint64_t reclustered = 0;      //!< config refreshes that ran k-means
+    uint64_t reclustered = 0;      //!< configurations clustered
     uint64_t reusedSelections = 0; //!< answered from the memo
-    uint64_t evictions = 0;        //!< sessions sealed to the archive
-    uint64_t rehydrations = 0;     //!< archives re-fed into builders
+    uint64_t evictions = 0;        //!< databases sealed to the archive
 };
 
 /**
- * Per-(tenant, workload) selection state: a TraceDatabase::Builder
- * over the joined rows, the flat feature columns, one
- * IncrementalIntervals per configured scheme, and the memoized
- * selections. Thread-safe: every method locks the session, so a
- * replay task may feed while another thread refreshes or reads
- * selections.
+ * The selection state of one distinct recording: its sealed
+ * database and one memoized selection per configuration, all
+ * computed at construction. Shared by every submission of the
+ * recording. Thread-safe: the selections never change, and the
+ * database and counters are guarded by the session's lock.
  */
 class WorkloadSession
 {
   public:
-    WorkloadSession(std::string workload_name,
+    /**
+     * Select once: every configuration of @p config runs
+     * core::selectSubset() over @p db through one FeatureEngine on
+     * @p pool. Throws FatalError naming @p workload_name when @p db
+     * has no dispatches.
+     */
+    WorkloadSession(std::string workload_name, core::TraceDatabase db,
                     const ServiceConfig &config,
                     sched::ThreadPool &pool);
 
     /**
-     * Append joined rows (dispatch order, continuing any rows fed
-     * before): the builder, the feature columns, and every interval
-     * scheme advance under one session lock. Rehydrates an evicted
-     * session first.
-     */
-    void addDispatches(std::span<const core::DispatchRecord> rows);
-
-    /**
-     * Seal this session's joined rows to the named columnar archive
-     * at @p archive_path and drop the builder records, feature
-     * columns, and interval state — everything except the memoized
-     * selections (refreshed here first, so an evicted session
-     * answers refresh()/selection() from the memo without touching
-     * the archive). Later rows rehydrate transparently by re-feeding
-     * the archived rows; selections afterwards are bitwise identical
-     * to a never-evicted session's. Idempotent.
+     * Write the sealed database's encoded bytes to the named archive
+     * at @p archive_path and drop the database. The selections stay;
+     * sealDatabase() reopens the archive. Idempotent.
      */
     void evict(const std::string &archive_path);
 
-    /** Whether the session is currently evicted (state on disk). */
+    /** Whether the database is on disk (see evict()). */
     bool isEvicted() const;
 
     /**
-     * Approximate resident bytes of this session's *reclaimable*
-     * state: the builder (joined records + profile heap), the
-     * lowered feature columns, and per-config interval state. What
-     * evict() reclaims; the service's byte-budget eviction and
-     * memoryFootprint() sum this. The memoized selections are
-     * excluded — they survive eviction by contract (selection()
-     * stays answerable) and are reported by memoBytes().
+     * The bytes evict() releases: the sealed database's resident
+     * columns and its spill mapping (0 once evicted), plus the
+     * session object's own residue. Deterministic; the service's
+     * byte budget and memoryFootprint() sum it. The selections are
+     * excluded — they survive eviction — and reported by
+     * memoBytes().
      */
     uint64_t memoryBytes() const;
 
-    /** Approximate bytes of the memoized selections (the one
-     * per-workload cost that outlives eviction). */
+    /** Approximate bytes of the memoized selections. */
     uint64_t memoBytes() const;
 
-    /**
-     * Selection refresh over everything fed so far. When no rows
-     * arrived since the last refresh, every configuration is
-     * answered from its memoized selection; otherwise each is
-     * re-clustered from points projected through a fresh projection
-     * table. The result is bitwise identical — selections, chosen k,
-     * ratios — to a one-shot selectSubset() over a database sealed
-     * at this prefix (the service differential tests pin this at
-     * several feed granularities).
-     */
+    /** Answer every configuration from the memoized selections
+     * (counted in SessionStats::reusedSelections). */
     void refresh();
 
-    /** Latest refreshed selection of configuration @p config (index
-     * into ServiceConfig::selections). refresh() must have run since
-     * the first rows arrived. */
-    core::SubsetSelection selection(size_t config) const;
+    /** The selection of configuration @p config (index into
+     * ServiceConfig::selections). */
+    const core::SubsetSelection &selection(size_t config) const;
 
-    uint64_t numDispatches() const;
+    uint64_t numDispatches() const { return dispatches; }
 
-    /** Seal a TraceDatabase over everything fed so far — the oracle
-     * the differential tests and SPI projections run against. */
+    /** The session's database — the resident one, or reopened from
+     * the archive when evicted. The oracle the differential tests
+     * and SPI projections run against. */
     core::TraceDatabase sealDatabase() const;
 
     SessionStats stats() const;
@@ -277,45 +213,15 @@ class WorkloadSession
     const std::string &name() const { return workloadName; }
 
   private:
-    struct ConfigState
-    {
-        SelectionConfig config;
-        core::IncrementalIntervals intervals;
-        core::SubsetSelection selection;
-        uint64_t selectionAt = 0; //!< dispatch count at last cluster
-        bool hasSelection = false;
-    };
-
-    /** Append one row to the builder, features, and intervals (the
-     * one per-row path: fresh rows and rehydration both use it).
-     * Caller holds the mutex. */
-    void appendLocked(core::DispatchRecord row);
-
-    /** refresh() without the call count. Caller holds the mutex. */
-    void refreshLocked();
-
-    /** Re-feed the archived rows into fresh builder/feature/interval
-     * state (no-op unless evicted). Caller holds the mutex. */
-    void rehydrateLocked();
-
-    std::string workloadName;
-    sched::ThreadPool &pool;
-    core::simpoint::ClusterOptions clusterOptions;
-    uint64_t targetInstrs;
+    const std::string workloadName;
+    const uint64_t dispatches;
+    std::vector<core::SubsetSelection> selections;
 
     mutable std::mutex mutex;
-    core::TraceDatabase::Builder builder;
-    core::DispatchFeatureCache features;
-    std::vector<ConfigState> configs;
-    SessionStats counters;
-
-    /** Rows ever fed (survives eviction; builder.numAppended() drops
-     * to 0 while evicted, so the memo check keys on this). */
-    uint64_t fed = 0;
-    bool evicted = false;
-    /** Archive file holding the joined rows while evicted (empty if
-     * the session was empty at eviction). */
+    std::optional<core::TraceDatabase> db; //!< empty once evicted
+    /** Archive file holding the database while evicted. */
     std::string archivePath;
+    SessionStats counters;
 };
 
 /** Service-wide counters and cache statistics. */
@@ -324,8 +230,10 @@ struct ServiceStats
     uint64_t tenants = 0;
     uint64_t workloads = 0;
     uint64_t replays = 0;      //!< recordings actually re-executed
-    uint64_t artifactHits = 0; //!< recordings served from the cache
-    SessionStats sessions;     //!< summed over every session
+    /** Submissions served by an existing session (followers and
+     * warm hits). */
+    uint64_t artifactHits = 0;
+    SessionStats sessions; //!< summed over the distinct sessions
     gpu::SharedCacheStats planCache;
     gpu::SharedCacheStats checkpointCache;
 };
@@ -334,23 +242,24 @@ struct ServiceStats
  * deterministic sums — see memoryFootprint()). */
 struct ServiceFootprint
 {
-    /** Builder/feature/interval state of the *resident*
-     * (non-evicted) sessions. This is what the byte-budget eviction
-     * bounds: it stays under ServiceConfig::maxResidentBytes no
-     * matter how many workloads accumulate. */
+    /** Sealed databases of the *resident* (non-evicted) sessions.
+     * This is what the byte-budget eviction bounds: it stays under
+     * ServiceConfig::maxResidentBytes no matter how many workloads
+     * accumulate. */
     uint64_t sessionBytes = 0;
-    /** Residual object bytes of evicted sessions (the session
-     * object and empty column/interval shells — a few KB each,
-     * everything heavy is on disk). */
+    /** Residual object bytes of evicted sessions (everything heavy
+     * is on disk). */
     uint64_t evictedResidueBytes = 0;
-    /** Memoized selections, summed over every session. Retained
-     * across eviction (selection()/refresh() answer from them), so
-     * this grows with workload count — but by O(selected intervals)
-     * per workload, not O(dispatches). */
+    /** Memoized selections, summed over the distinct sessions.
+     * Retained across eviction, so this grows with the number of
+     * distinct recordings, not with submissions. */
     uint64_t memoBytes = 0;
     uint64_t planCacheBytes = 0;       //!< shared execution plans
     uint64_t checkpointCacheBytes = 0; //!< adopted checkpoints
-    uint64_t artifactBytes = 0;        //!< cached replay outcomes
+    /** The session cache's own index: one entry per distinct
+     * recording (hash, shared reference, LRU ticket). The sessions
+     * it references are counted above. */
+    uint64_t artifactBytes = 0;
     /** Decoded-block bytes the calling thread's trace-store cache
      * holds for live stores. */
     uint64_t traceCacheBytes = 0;
@@ -361,8 +270,7 @@ struct ServiceFootprint
  * The multi-tenant profiling service (see the file comment).
  * Tenants are opened, recordings submitted (asynchronously replayed
  * on the shared pool), drain() joins the outstanding replays, and
- * refreshAll()/session() expose the incrementally maintained
- * selections.
+ * session() exposes each workload's selections.
  */
 class ProfilingService
 {
@@ -382,14 +290,13 @@ class ProfilingService
     TenantId openTenant(std::string name);
 
     /**
-     * Submit one recorded workload for @p tenant. The replay is
-     * scheduled on the shared pool and its rows are fed into the
-     * workload's session when it finishes; identical recordings (by
-     * content hash) from any tenant are served from the
-     * replay-artifact cache without re-executing kernels — including
-     * copies that arrive while the first one is still replaying,
-     * which are fed when that replay finishes. If that replay fails,
-     * the waiting copies fail with it.
+     * Submit one recorded workload for @p tenant. The first copy of
+     * a recording (by content hash, from any tenant) is replayed on
+     * the shared pool and its session built when the replay
+     * finishes; every other copy shares that session — at once if
+     * it is built, else when the replay finishes. If that replay
+     * fails, the waiting copies fail with it. Only the replay reads
+     * @p recording; it is dropped once the replay has run.
      */
     WorkloadId submit(TenantId tenant, std::string workload_name,
                       cfl::Recording recording);
@@ -397,15 +304,17 @@ class ProfilingService
     /**
      * Wait for every outstanding replay, then throw one FatalError
      * naming each workload that failed since the last drain() (the
-     * good workloads are fed and usable either way).
+     * good workloads are usable either way).
      */
     void drain();
 
-    /** refresh() every session (see WorkloadSession::refresh). */
+    /** refresh() every workload's session (see
+     * WorkloadSession::refresh) and mark it recently used. */
     void refreshAll();
 
-    /** The selection state of one submitted workload. Throws
-     * FatalError with the replay's error if the workload failed. */
+    /** The session of one drained workload (shared with every copy
+     * of its recording). Throws FatalError with the replay's error
+     * if the workload failed. */
     WorkloadSession &session(TenantId tenant, WorkloadId workload);
 
     gpu::SharedPlanCache &planCache() { return plans; }
@@ -417,11 +326,11 @@ class ProfilingService
     ServiceStats stats() const;
 
     /**
-     * Approximate resident bytes of the service: every session's
-     * state (WorkloadSession::memoryBytes) plus the three shared
-     * caches and the calling thread's trace-store decode cache.
-     * Logged at eviction decisions; the eviction tests assert it
-     * stays bounded as tenants accumulate.
+     * Approximate resident bytes of the service: every distinct
+     * session's state (WorkloadSession::memoryBytes and memoBytes)
+     * plus the shared caches and the calling thread's trace-store
+     * decode cache. The eviction tests assert it stays bounded as
+     * tenants accumulate.
      */
     ServiceFootprint memoryFootprint() const;
 
@@ -432,17 +341,12 @@ class ProfilingService
     struct Workload
     {
         TenantId tenant = 0;
-        WorkloadId id = 0;
-        cfl::Recording recording;
-        std::unique_ptr<WorkloadSession> session;
-        /** Replay finished and every row is fed — the precondition
-         * for eviction. */
-        std::atomic<bool> drained{false};
-        /** LRU ticket (monotone service-wide counter, not wall
-         * time), refreshed on feed completion and refreshAll(). */
-        std::atomic<uint64_t> lastUse{0};
-        /** Why the replay failed (empty = it did not); guarded by
-         * the service mutex. */
+        std::string name;
+        uint64_t recordingHash = 0;
+        /** Set when the session is built (null while replaying and
+         * on failure). */
+        std::shared_ptr<WorkloadSession> session;
+        /** Why the replay failed (empty = it did not). */
         std::string error;
     };
 
@@ -452,17 +356,26 @@ class ProfilingService
         std::vector<std::unique_ptr<Workload>> workloads;
     };
 
-    void runReplay(Workload &workload, uint64_t key);
-    /** Feed @p workload the artifact's rows and mark it drained. */
-    void feed(Workload &workload, const ReplayArtifact &artifact);
+    /** One distinct recording: its session once built, else the
+     * copies waiting on its replay. */
+    struct CachedSession
+    {
+        std::shared_ptr<WorkloadSession> session;
+        std::vector<Workload *> followers;
+        uint64_t lastUse = 0; //!< LRU ticket (monotone counter)
+    };
+
+    /** Replay @p recording for @p leader, build its session, and
+     * publish it to the leader and its followers (or their error). */
+    void runReplay(Workload &leader, cfl::Recording recording);
 
     /** The archive catalog, created (with its directory) on first
      * use. */
     SessionArchive &archiveCatalog();
 
-    /** Evict drained sessions (LRU-first) until the resident-session
-     * and resident-byte budgets hold; no-op when unbounded. Called
-     * after every workload drains. */
+    /** Evict sessions (LRU-first) until the resident-session and
+     * resident-byte budgets hold; no-op when unbounded. Called after
+     * every session is built. */
     void enforceBudget();
 
     ServiceConfig cfg;
@@ -471,28 +384,19 @@ class ProfilingService
     gpu::SharedPlanCache plans;
     gpu::SharedCheckpointCache ckpts;
 
-    /** Replay-artifact cache, striped like the gpu caches. A key
-     * is in either map or inflight, never both: inflight holds the
-     * workloads waiting on the one replay of that recording. */
-    struct ArtifactShard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<uint64_t,
-                           std::shared_ptr<const ReplayArtifact>>
-            map;
-        std::unordered_map<uint64_t, std::vector<Workload *>> inflight;
-    };
-    std::array<ArtifactShard, gpu::numCacheShards> artifactShards;
-    std::atomic<uint64_t> replayCount{0};
-    std::atomic<uint64_t> artifactHitCount{0};
-
     std::string archiveRoot;
     std::mutex archiveMutex;
     std::unique_ptr<SessionArchive> archiveStore;
-    std::atomic<uint64_t> useTicket{1};
 
-    mutable std::mutex mutex; //!< tenants, futures, failures
+    /** Guards everything below and every Workload. */
+    mutable std::mutex mutex;
     std::vector<std::unique_ptr<Tenant>> tenants;
+    /** Sessions by recording content hash. A failed replay's entry
+     * is erased, so a resubmission replays afresh. */
+    std::unordered_map<uint64_t, CachedSession> sessions;
+    uint64_t useTicket = 0;
+    uint64_t replayCount = 0;
+    uint64_t artifactHitCount = 0;
     std::vector<std::future<void>> pendingReplays;
     /** Failed workloads drain() has not reported yet. */
     std::vector<Workload *> unreportedFailures;

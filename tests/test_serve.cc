@@ -1,24 +1,22 @@
 /**
  * @file
  * Profiling-service differential tests: the TraceDatabase::Builder
- * over joined rows, incremental interval division, incremental
- * feature columns, session selection refresh, and the shared
- * content-addressed caches.
+ * over joined rows, sessions, single-flight admission, eviction, and
+ * the shared content-addressed caches.
  *
  * The service's central contract is "session == one-shot, bitwise":
- * a session fed joined rows in chunks and refreshed after any chunk
- * must answer with exactly the database, intervals, feature vectors,
- * and selections a batch pipeline run over the same prefix produces.
- * These tests pin that equivalence across schemes, chunk sizes,
- * refresh cadences, and pool widths, plus the cache-sharing rules
- * ("fully built => const, shareable") under real concurrency — the
- * `service` label puts the whole file under TSan in the tsan preset.
+ * a session answers with exactly the database and selections a batch
+ * pipeline run over the same replay produces, and every copy of a
+ * recording shares one session. These tests pin that across pool
+ * widths, eviction budgets and concurrent submitters, plus the
+ * cache-sharing rules ("fully built => const, shareable") under real
+ * concurrency — the `service` label puts the whole file under TSan
+ * in the tsan preset.
  */
 
 #include <gtest/gtest.h>
 
 #include <future>
-#include <span>
 #include <thread>
 
 #include <unistd.h>
@@ -149,18 +147,6 @@ joinedRows(const Inputs &in)
     return TraceDatabase::join(in.profiles, in.timings, in.calls);
 }
 
-/** Hand @p rows to @p fn in consecutive chunks of @p chunk rows (the
- * last one may be shorter). */
-template <typename Fn>
-void
-forEachChunk(const std::vector<DispatchRecord> &rows, uint64_t chunk,
-             Fn &&fn)
-{
-    std::span<const DispatchRecord> all(rows);
-    for (size_t at = 0; at < all.size(); at += chunk)
-        fn(all.subspan(at, std::min<size_t>(chunk, all.size() - at)));
-}
-
 // ---------------------------------------------------------------
 // TraceDatabase::Builder over assignEpochs() rows vs. batch build().
 
@@ -202,155 +188,13 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
 }
 
 // ---------------------------------------------------------------
-// Incremental interval division vs. buildIntervals(), 3 schemes x
-// feed granularities {1, 3, 256}.
+// Sessions built over synthetic rows.
 
-// gtest names each case after the parameter's object bytes, so the
-// case must hold no padding: padding bytes are indeterminate and made
-// the test names change from run to run. The scheme is therefore
-// stored widened to a full word.
-struct IntervalCase
+/** The sealed database of @p in's joined rows. */
+TraceDatabase
+sealedDb(const Inputs &in)
 {
-    IntervalCase(IntervalScheme s, uint64_t t)
-        : schemeWord(static_cast<uint64_t>(s)), target(t)
-    {
-    }
-
-    IntervalScheme scheme() const
-    {
-        return static_cast<IntervalScheme>(schemeWord);
-    }
-
-    uint64_t schemeWord;
-    uint64_t target;
-};
-static_assert(sizeof(IntervalCase) == 2 * sizeof(uint64_t));
-
-class IncrementalIntervalTest
-    : public ::testing::TestWithParam<IntervalCase>
-{
-};
-
-TEST_P(IncrementalIntervalTest, AppendMatchesBatchAtEveryChunk)
-{
-    const IntervalCase param = GetParam();
-    const uint64_t n = 300;
-    Inputs in = makeInputs(n);
-
-    const std::vector<DispatchRecord> rows = joinedRows(in);
-
-    for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
-        TraceDatabase::Builder builder;
-        core::IncrementalIntervals inc(param.scheme(), param.target);
-        std::vector<Interval> prev;
-        size_t prev_completed = 0;
-        forEachChunk(rows, chunk, [&](auto part) {
-            for (const DispatchRecord &row : part) {
-                builder.appendJoined(row);
-                inc.append(row.syncEpoch, row.profile.instrs,
-                           row.seconds);
-            }
-            std::vector<Interval> got = inc.snapshot();
-            expectSameIntervals(
-                got, core::buildIntervals(builder.seal(),
-                                          param.scheme(),
-                                          param.target));
-            // Completed intervals are final: the previous snapshot's
-            // completed prefix reappears unchanged.
-            ASSERT_LE(inc.numCompleted(), got.size());
-            ASSERT_LE(prev_completed, inc.numCompleted());
-            for (size_t i = 0; i < prev_completed; ++i) {
-                EXPECT_EQ(prev[i].lastDispatch, got[i].lastDispatch);
-                EXPECT_EQ(prev[i].instrs, got[i].instrs);
-            }
-            prev = std::move(got);
-            prev_completed = inc.numCompleted();
-        });
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SchemesAndTargets, IncrementalIntervalTest,
-    ::testing::Values(
-        IntervalCase{IntervalScheme::SyncBounded, 0},
-        IntervalCase{IntervalScheme::ApproxInstructions, 0},
-        IntervalCase{IntervalScheme::ApproxInstructions, 40000},
-        IntervalCase{IntervalScheme::SingleKernel, 0}));
-
-// ---------------------------------------------------------------
-// Incremental feature columns vs. batch construction.
-
-TEST(ServeFeatures, StreamingCacheMatchesBatch)
-{
-    const uint64_t n = 200;
-    Inputs in = makeInputs(n);
-    TraceDatabase db = TraceDatabase::build(in.profiles, in.timings,
-                                            in.calls);
-
-    core::DispatchFeatureCache batch(db);
-    core::DispatchFeatureCache inc;
-    for (uint64_t d = 0; d < n; ++d) {
-        inc.appendDispatch(db.profileAt(d));
-        if (d % 17 == 0)
-            inc.refreshColumns(); // must not disturb later appends
-    }
-    inc.refreshColumns();
-    ASSERT_EQ(inc.uniqueKeys(), batch.uniqueKeys());
-
-    auto intervals =
-        core::buildIntervals(db, IntervalScheme::SyncBounded);
-    core::simpoint::ProjectionTable table =
-        core::simpoint::ProjectionTable::build(batch.uniqueKeys());
-    core::DispatchFeatureCache::Scratch sa, sb;
-    for (const Interval &iv : intervals) {
-        for (int k = 0; k < core::numFeatureKinds; ++k) {
-            core::FeatureKind kind = (core::FeatureKind)k;
-            EXPECT_EQ(inc.extract(iv, kind, sa).values(),
-                      batch.extract(iv, kind, sb).values());
-            EXPECT_EQ(inc.projectInto(iv, kind, sa, table),
-                      batch.projectInto(iv, kind, sb, table));
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Session selection refresh vs. one-shot selectSubset().
-
-/** Feed chunks of @p cadence rows, refreshing after each; every
- * configured selection must then equal a one-shot batch selection
- * over a database sealed at the same prefix. */
-void
-runRefreshCadence(const Inputs &in, uint64_t cadence,
-                  sched::ThreadPool &pool)
-{
-    ServiceConfig cfg;
-    WorkloadSession session("synthetic", cfg, pool);
-    forEachChunk(
-        joinedRows(in), cadence,
-        [&](std::span<const DispatchRecord> rows) {
-            session.addDispatches(rows);
-            session.refresh();
-            TraceDatabase db = session.sealDatabase();
-            for (size_t c = 0; c < cfg.selections.size(); ++c) {
-                const SelectionConfig &sc = cfg.selections[c];
-                expectSameSelection(
-                    session.selection(c),
-                    core::selectSubset(db, sc.scheme, sc.feature,
-                                       cfg.cluster,
-                                       cfg.targetInstrs));
-            }
-        });
-    SessionStats stats = session.stats();
-    EXPECT_EQ(stats.dispatches, in.profiles.size());
-    EXPECT_GT(stats.reclustered, 0u);
-}
-
-TEST(ServeSession, RefreshMatchesOneShotAtEveryCadence)
-{
-    Inputs in = makeInputs(240);
-    sched::ThreadPool pool(1);
-    for (uint64_t cadence : {uint64_t(61), uint64_t(240)})
-        runRefreshCadence(in, cadence, pool);
+    return TraceDatabase::fromRows(joinedRows(in));
 }
 
 TEST(ServeSession, RefreshIsPoolWidthInvariant)
@@ -360,9 +204,7 @@ TEST(ServeSession, RefreshIsPoolWidthInvariant)
     std::vector<core::SubsetSelection> want;
     for (unsigned width : {1u, 4u}) {
         sched::ThreadPool pool(width);
-        WorkloadSession session("synthetic", cfg, pool);
-        session.addDispatches(joinedRows(in));
-        session.refresh();
+        WorkloadSession session("synthetic", sealedDb(in), cfg, pool);
         for (size_t c = 0; c < cfg.selections.size(); ++c) {
             if (width == 1)
                 want.push_back(session.selection(c));
@@ -377,24 +219,32 @@ TEST(ServeSession, MemoizedRefreshSkipsUnchangedConfigs)
     Inputs in = makeInputs(120);
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
-    WorkloadSession session("synthetic", cfg, pool);
-    session.addDispatches(joinedRows(in));
-    session.refresh();
-    SessionStats after_first = session.stats();
-    EXPECT_EQ(after_first.reclustered, cfg.selections.size());
-    EXPECT_EQ(after_first.reusedSelections, 0u);
+    TraceDatabase db = sealedDb(in);
+    WorkloadSession session("synthetic", db, cfg, pool);
+    SessionStats built = session.stats();
+    EXPECT_EQ(built.dispatches, in.profiles.size());
+    EXPECT_EQ(built.reclustered, cfg.selections.size());
+    EXPECT_EQ(built.reusedSelections, 0u);
 
-    // No new dispatches: the second refresh answers every config
-    // from the memo, and the selections are the same objects.
-    std::vector<core::SubsetSelection> before;
-    for (size_t c = 0; c < cfg.selections.size(); ++c)
-        before.push_back(session.selection(c));
+    // Construction selected once, through the one-shot pipeline.
+    for (size_t c = 0; c < cfg.selections.size(); ++c) {
+        const SelectionConfig &sc = cfg.selections[c];
+        expectSameSelection(session.selection(c),
+                            core::selectSubset(db, sc.scheme, sc.feature,
+                                               cfg.cluster,
+                                               cfg.targetInstrs));
+    }
+
+    // Every refresh answers from the memo: the selections are the
+    // same objects and nothing is re-clustered.
+    const core::SubsetSelection *first = &session.selection(0);
     session.refresh();
-    SessionStats after_second = session.stats();
-    EXPECT_EQ(after_second.reclustered, cfg.selections.size());
-    EXPECT_EQ(after_second.reusedSelections, cfg.selections.size());
-    for (size_t c = 0; c < cfg.selections.size(); ++c)
-        expectSameSelection(session.selection(c), before[c]);
+    session.refresh();
+    SessionStats after = session.stats();
+    EXPECT_EQ(after.refreshes, 2u);
+    EXPECT_EQ(after.reclustered, cfg.selections.size());
+    EXPECT_EQ(after.reusedSelections, 2 * cfg.selections.size());
+    EXPECT_EQ(&session.selection(0), first);
 }
 
 // ---------------------------------------------------------------
@@ -408,6 +258,35 @@ gaussianApp()
     return app;
 }
 
+/** A distinct recording (by content hash) that replays to exactly
+ * @p recording's dispatches: @p k trailing WaitForEvents calls, a
+ * sync after the last kernel, which moves no dispatch's epoch. */
+cfl::Recording
+variant(const cfl::Recording &recording, unsigned k)
+{
+    cfl::Recording copy = recording;
+    for (unsigned i = 0; i < k; ++i) {
+        ocl::ApiCallRecord wait;
+        wait.id = ocl::ApiCallId::WaitForEvents;
+        wait.callIndex = copy.calls.size();
+        wait.uargs = {0};
+        copy.calls.push_back(wait);
+    }
+    return copy;
+}
+
+/** One session per distinct recording, replayed and clustered once
+ * each. */
+void
+expectOneSessionPerRecording(const ProfilingService &service,
+                             uint64_t distinct)
+{
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.replays, distinct);
+    EXPECT_EQ(stats.sessions.reclustered,
+              distinct * service.config().selections.size());
+}
+
 TEST(ServeService, ReplayedSessionMatchesOneShot)
 {
     const core::ProfiledApp &app = gaussianApp();
@@ -417,6 +296,7 @@ TEST(ServeService, ReplayedSessionMatchesOneShot)
     service.drain();
     service.refreshAll();
 
+    expectOneSessionPerRecording(service, 1);
     WorkloadSession &session = service.session(tenant, wl);
     EXPECT_EQ(session.numDispatches(), app.db.numDispatches());
     TraceDatabase db = session.sealDatabase();
@@ -446,17 +326,23 @@ TEST(ServeService, IdenticalRecordingsShareReplayArtifacts)
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.tenants, 2u);
     EXPECT_EQ(stats.workloads, 2u);
-    EXPECT_EQ(stats.replays, 1u);
     EXPECT_EQ(stats.artifactHits, 1u);
     EXPECT_GT(stats.planCache.builds, 0u);
+    expectOneSessionPerRecording(service, 1);
 
-    // The artifact-fed session is indistinguishable from the
-    // replayed one.
-    WorkloadSession &a = service.session(t0, w0);
-    WorkloadSession &b = service.session(t1, w1);
-    expectSameDb(a.sealDatabase(), b.sealDatabase());
-    for (size_t c = 0; c < service.config().selections.size(); ++c)
-        expectSameSelection(a.selection(c), b.selection(c));
+    // Warm submissions take a reference: nothing replays or
+    // re-clusters, and every copy is the one session.
+    auto w2 = service.submit(t0, app.name, app.recording);
+    auto w3 = service.submit(t1, "renamed", app.recording);
+    service.drain();
+    stats = service.stats();
+    EXPECT_EQ(stats.workloads, 4u);
+    EXPECT_EQ(stats.artifactHits, 3u);
+    expectOneSessionPerRecording(service, 1);
+    WorkloadSession *shared = &service.session(t0, w0);
+    EXPECT_EQ(&service.session(t1, w1), shared);
+    EXPECT_EQ(&service.session(t0, w2), shared);
+    EXPECT_EQ(&service.session(t1, w3), shared);
 }
 
 TEST(ServeService, ConcurrentTenantsAgreeBitwise)
@@ -478,17 +364,12 @@ TEST(ServeService, ConcurrentTenantsAgreeBitwise)
     service.refreshAll();
 
     ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.replays, 1u);
     EXPECT_EQ(stats.artifactHits, (uint64_t)tenants - 1);
+    expectOneSessionPerRecording(service, 1);
 
     WorkloadSession &first = service.session(ids[0], 0);
-    for (unsigned t = 1; t < tenants; ++t) {
-        WorkloadSession &other = service.session(ids[t], 0);
-        EXPECT_EQ(other.numDispatches(), first.numDispatches());
-        for (size_t c = 0; c < cfg.selections.size(); ++c)
-            expectSameSelection(other.selection(c),
-                                first.selection(c));
-    }
+    for (unsigned t = 1; t < tenants; ++t)
+        EXPECT_EQ(&service.session(ids[t], 0), &first);
 }
 
 /** @p recording with one mid-stream kernel launch stripped of its
@@ -552,6 +433,7 @@ TEST(ServeService, FailedReplayFailsOnlyItsWorkloads)
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.replays, 2u); // one bad leader, one good
     EXPECT_EQ(stats.artifactHits, 0u);
+    EXPECT_EQ(stats.sessions.reclustered, cfg.selections.size());
     EXPECT_THROW(service.session(bad0, 0), FatalError);
     EXPECT_THROW(service.session(bad1, 0), FatalError);
 
@@ -578,6 +460,35 @@ TEST(ServeService, FailedReplayFailsOnlyItsWorkloads)
     EXPECT_EQ(stats.artifactHits, 0u);
     EXPECT_THROW(service.session(bad0, 1), FatalError);
     EXPECT_NO_THROW(service.session(good, 0));
+}
+
+TEST(ServeService, EmptyRecordingFailsOnlyItsWorkload)
+{
+    setLogQuiet(true);
+    const core::ProfiledApp &app = gaussianApp();
+    ProfilingService service;
+    auto good = service.openTenant("good");
+    auto empty = service.openTenant("empty");
+    service.submit(empty, "no-kernels", cfl::Recording{});
+    service.submit(good, app.name, app.recording);
+
+    try {
+        service.drain();
+        ADD_FAILURE() << "drain() did not report the empty recording";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("1 submission failed"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'no-kernels'"), std::string::npos) << what;
+        EXPECT_EQ(what.find(app.name), std::string::npos) << what;
+    }
+    EXPECT_THROW(service.session(empty, 0), FatalError);
+    // Both replayed; only the good one was clustered.
+    EXPECT_EQ(service.stats().replays, 2u);
+    EXPECT_EQ(service.stats().sessions.reclustered,
+              service.config().selections.size());
+    EXPECT_EQ(service.session(good, 0).numDispatches(),
+              app.db.numDispatches());
 }
 
 // ---------------------------------------------------------------
@@ -659,7 +570,7 @@ TEST(ServeCaches, PlanCacheConcurrentLookupsAreExact)
 }
 
 // ---------------------------------------------------------------
-// Session eviction, rehydration, and budget enforcement.
+// Session eviction and budget enforcement.
 
 /** Per-test archive directory under the gtest temp root, unique per
  * process so stale catalogs from earlier runs never leak in. */
@@ -672,55 +583,31 @@ evictDir(const std::string &tag)
 
 TEST(ServeEviction, EvictRehydrateMatchesNeverEvicted)
 {
-    // 250 = three evictions at 80/160/240, each followed by late
-    // rows that force a rehydrate.
     Inputs in = makeInputs(250);
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
-    WorkloadSession session("synthetic", cfg, pool);
-    WorkloadSession oracle("synthetic", cfg, pool);
+    TraceDatabase want = sealedDb(in);
+    WorkloadSession session("synthetic", want, cfg, pool);
+    WorkloadSession oracle("synthetic", want, cfg, pool);
     SessionArchive archive(evictDir("rehydrate"));
-    std::string path = archive.pathFor(0, 0, "synthetic");
+    std::string path = archive.pathFor(0x5eed, "synthetic");
 
-    uint64_t resident_before_evict = 0;
-    forEachChunk(
-        joinedRows(in), 80,
-        [&](std::span<const DispatchRecord> rows) {
-            session.addDispatches(rows);
-            oracle.addDispatches(rows);
-            if (rows.size() != 80)
-                return;
-            uint64_t fed = session.numDispatches();
-            resident_before_evict = session.memoryBytes();
-            session.evict(path);
-            archive.record("synthetic", path, fed);
-            EXPECT_TRUE(session.isEvicted());
-            // Eviction reclaims the builder/feature/interval state.
-            EXPECT_LT(session.memoryBytes(),
-                      resident_before_evict / 4);
-        });
+    const uint64_t resident = session.memoryBytes();
+    session.evict(path);
+    archive.record("synthetic", path, session.numDispatches());
+    EXPECT_TRUE(session.isEvicted());
+    // Eviction releases the database.
+    EXPECT_LT(session.memoryBytes(), resident / 4);
+    EXPECT_EQ(session.stats().evictions, 1u);
 
-    // The late rows after the last eviction rehydrated.
-    EXPECT_FALSE(session.isEvicted());
-    SessionStats stats = session.stats();
-    EXPECT_EQ(stats.evictions, 3u);
-    EXPECT_EQ(stats.rehydrations, 3u);
-
-    session.refresh();
-    oracle.refresh();
-    TraceDatabase want = oracle.sealDatabase();
+    // The archive reopens as the database that was evicted, bitwise,
+    // and the session stays evicted.
     expectSameDb(session.sealDatabase(), want);
+    expectSameDb(session.sealDatabase(), oracle.sealDatabase());
+    EXPECT_TRUE(session.isEvicted());
     for (size_t c = 0; c < cfg.selections.size(); ++c)
         expectSameSelection(session.selection(c),
                             oracle.selection(c));
-
-    // Sealing straight off the archive (no rehydrate) is the same
-    // database bitwise.
-    session.evict(path);
-    ASSERT_TRUE(session.isEvicted());
-    expectSameDb(session.sealDatabase(), want);
-    EXPECT_TRUE(session.isEvicted());
-    EXPECT_EQ(session.stats().rehydrations, 3u);
 }
 
 TEST(ServeEviction, EvictedSessionAnswersFromMemo)
@@ -728,27 +615,23 @@ TEST(ServeEviction, EvictedSessionAnswersFromMemo)
     Inputs in = makeInputs(120);
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
-    WorkloadSession session("synthetic", cfg, pool);
-    session.addDispatches(joinedRows(in));
-    session.refresh();
+    WorkloadSession session("synthetic", sealedDb(in), cfg, pool);
     std::vector<core::SubsetSelection> before;
     for (size_t c = 0; c < cfg.selections.size(); ++c)
         before.push_back(session.selection(c));
 
     SessionArchive archive(evictDir("memo"));
-    std::string path = archive.pathFor(0, 0, "synthetic");
+    std::string path = archive.pathFor(0x5eed, "synthetic");
     session.evict(path);
     ASSERT_TRUE(session.isEvicted());
-    uint64_t reused_at_evict = session.stats().reusedSelections;
 
-    // No new dispatches: refresh() and selection() answer from the
-    // memo without touching the archive.
+    // refresh() and selection() answer from the memo without
+    // touching the archive.
     session.refresh();
     EXPECT_TRUE(session.isEvicted());
     SessionStats stats = session.stats();
-    EXPECT_EQ(stats.rehydrations, 0u);
-    EXPECT_EQ(stats.reusedSelections,
-              reused_at_evict + cfg.selections.size());
+    EXPECT_EQ(stats.reclustered, cfg.selections.size());
+    EXPECT_EQ(stats.reusedSelections, cfg.selections.size());
     for (size_t c = 0; c < cfg.selections.size(); ++c)
         expectSameSelection(session.selection(c), before[c]);
 
@@ -772,13 +655,16 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
         {"unbounded", SIZE_MAX, UINT64_MAX, false},
         {"one-session", 1, UINT64_MAX, true},
         {"zero-bytes", SIZE_MAX, 0, true},
-        {"on-drain", 0, UINT64_MAX, true},
+        {"session-budget-0", 0, UINT64_MAX, true},
     };
     const unsigned tenants = 3;
+    // Two distinct recordings, so a one-session budget evicts.
+    const cfl::Recording recordings[] = {app.recording,
+                                         variant(app.recording, 1)};
 
     // Selections must be bitwise identical no matter which budget
     // forced evictions along the way.
-    std::vector<std::vector<core::SubsetSelection>> want;
+    std::vector<core::SubsetSelection> want;
     for (const Budget &budget : budgets) {
         ServiceConfig cfg;
         cfg.maxResidentSessions = budget.sessions;
@@ -790,10 +676,12 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
         for (unsigned t = 0; t < tenants; ++t) {
             ids.push_back(
                 service.openTenant("t" + std::to_string(t)));
-            service.submit(ids.back(), app.name, app.recording);
+            for (const cfl::Recording &rec : recordings)
+                service.submit(ids.back(), app.name, rec);
         }
         service.drain();
         service.refreshAll();
+        expectOneSessionPerRecording(service, 2);
 
         ServiceStats stats = service.stats();
         if (budget.evicts) {
@@ -806,16 +694,18 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
         }
 
         for (unsigned t = 0; t < tenants; ++t) {
-            WorkloadSession &session = service.session(ids[t], 0);
-            std::vector<core::SubsetSelection> got;
-            for (size_t c = 0; c < cfg.selections.size(); ++c)
-                got.push_back(session.selection(c));
-            if (want.size() <= t) {
-                want.push_back(std::move(got));
-                continue;
+            for (ProfilingService::WorkloadId w = 0; w < 2; ++w) {
+                WorkloadSession &session = service.session(ids[t], w);
+                EXPECT_EQ(&session, &service.session(ids[0], w));
+                expectSameDb(session.sealDatabase(), app.db);
+                for (size_t c = 0; c < cfg.selections.size(); ++c) {
+                    if (want.size() < cfg.selections.size())
+                        want.push_back(session.selection(c));
+                    else
+                        expectSameSelection(session.selection(c),
+                                            want[c]);
+                }
             }
-            for (size_t c = 0; c < got.size(); ++c)
-                expectSameSelection(got[c], want[t][c]);
         }
     }
 }
@@ -826,21 +716,26 @@ TEST(ServeEviction, ConcurrentSubmitWhileEvicting)
     sched::ThreadPool pool(4);
     ServiceConfig cfg;
     cfg.pool = &pool;
-    cfg.maxResidentSessions = 0; // evict every drained session
+    cfg.maxResidentSessions = 0; // evict every session
     cfg.archiveDir = evictDir("concurrent");
     ProfilingService service(cfg);
 
-    // Warm submissions feed inline on the submitting thread while
-    // earlier drains evict — the TSan-covered interleaving.
+    // Each thread submits two distinct recordings twice: warm hits
+    // take their references on the submitting threads while a
+    // finished replay evicts — the TSan-covered interleaving.
     const unsigned threads = 4;
+    const cfl::Recording recordings[] = {app.recording,
+                                         variant(app.recording, 1)};
     std::vector<ProfilingService::TenantId> ids;
     for (unsigned t = 0; t < threads; ++t)
         ids.push_back(service.openTenant("t" + std::to_string(t)));
     std::vector<std::thread> workers;
     for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&service, &app, &ids, t]() {
-            service.submit(ids[t], app.name, app.recording);
-            service.submit(ids[t], app.name, app.recording);
+        workers.emplace_back([&service, &app, &ids, &recordings, t]() {
+            for (unsigned rep = 0; rep < 2; ++rep) {
+                for (const cfl::Recording &rec : recordings)
+                    service.submit(ids[t], app.name, rec);
+            }
         });
     }
     for (std::thread &w : workers)
@@ -849,19 +744,18 @@ TEST(ServeEviction, ConcurrentSubmitWhileEvicting)
     service.refreshAll();
 
     ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.workloads, threads * 2u);
-    EXPECT_EQ(stats.replays + stats.artifactHits, threads * 2u);
-    EXPECT_GT(stats.sessions.evictions, 0u);
+    EXPECT_EQ(stats.workloads, threads * 4u);
+    EXPECT_EQ(stats.replays + stats.artifactHits, threads * 4u);
+    EXPECT_EQ(stats.sessions.evictions, 2u);
+    expectOneSessionPerRecording(service, 2);
 
-    WorkloadSession &first = service.session(ids[0], 0);
     for (unsigned t = 0; t < threads; ++t) {
-        for (ProfilingService::WorkloadId w = 0; w < 2; ++w) {
-            WorkloadSession &other = service.session(ids[t], w);
-            EXPECT_EQ(other.numDispatches(),
-                      first.numDispatches());
-            for (size_t c = 0; c < cfg.selections.size(); ++c)
-                expectSameSelection(other.selection(c),
-                                    first.selection(c));
+        for (ProfilingService::WorkloadId w = 0; w < 4; ++w) {
+            WorkloadSession &session = service.session(ids[t], w);
+            EXPECT_EQ(&session, &service.session(ids[0], w % 2));
+            EXPECT_TRUE(session.isEvicted());
+            expectSameSelection(session.selection(0),
+                                service.session(ids[0], 0).selection(0));
         }
     }
 }
@@ -882,8 +776,8 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
         ASSERT_GT(one_session, 0u);
 
         ServiceFootprint fp = probe.memoryFootprint();
-        EXPECT_GE(fp.sessionBytes, one_session);
-        EXPECT_GT(fp.memoBytes, 0u); // refreshed selections
+        EXPECT_EQ(fp.sessionBytes, one_session);
+        EXPECT_GT(fp.memoBytes, 0u); // the memoized selections
         EXPECT_EQ(fp.evictedResidueBytes, 0u); // nothing evicted
         EXPECT_EQ(fp.totalBytes,
                   fp.sessionBytes + fp.evictedResidueBytes +
@@ -891,34 +785,36 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
                       fp.checkpointCacheBytes + fp.artifactBytes +
                       fp.traceCacheBytes);
         EXPECT_GT(fp.planCacheBytes, 0u);
-        EXPECT_GT(fp.artifactBytes, 0u);
+        EXPECT_GT(fp.artifactBytes, 0u); // the session cache's entry
     }
 
     // A ~1.5-session budget: resident session bytes stay bounded no
-    // matter how many workloads accumulate (evicted sessions keep
-    // only their tiny memo residue, allow one session of slack for
-    // it and the in-flight feed).
+    // matter how many distinct recordings accumulate.
     ServiceConfig cfg;
     cfg.maxResidentBytes = one_session + one_session / 2;
     cfg.archiveDir = evictDir("budget");
     ProfilingService service(cfg);
     auto tenant = service.openTenant("t0");
-    for (unsigned i = 0; i < 6; ++i) {
-        service.submit(tenant, app.name, app.recording);
+    const unsigned distinct = 6;
+    for (unsigned i = 0; i < distinct; ++i) {
+        service.submit(tenant, app.name, variant(app.recording, i));
         service.drain();
         ServiceFootprint fp = service.memoryFootprint();
-        EXPECT_LE(fp.sessionBytes,
-                  cfg.maxResidentBytes + one_session);
+        EXPECT_LE(fp.sessionBytes, cfg.maxResidentBytes);
     }
     service.refreshAll();
-    EXPECT_GT(service.stats().sessions.evictions, 0u);
+    expectOneSessionPerRecording(service, distinct);
+    EXPECT_EQ(service.stats().sessions.evictions, distinct - 1);
     ServiceFootprint after = service.memoryFootprint();
     EXPECT_GT(after.evictedResidueBytes, 0u);
-    EXPECT_LE(after.sessionBytes, cfg.maxResidentBytes + one_session);
+    EXPECT_LE(after.sessionBytes, cfg.maxResidentBytes);
 
+    // Variants replay to the same dispatches: evicted or not, every
+    // session answers the same selections.
     WorkloadSession &first = service.session(tenant, 0);
-    for (ProfilingService::WorkloadId w = 1; w < 6; ++w) {
+    for (ProfilingService::WorkloadId w = 1; w < distinct; ++w) {
         WorkloadSession &other = service.session(tenant, w);
+        EXPECT_NE(&other, &first);
         for (size_t c = 0; c < cfg.selections.size(); ++c)
             expectSameSelection(other.selection(c),
                                 first.selection(c));
@@ -931,8 +827,8 @@ TEST(ServeArchive, CatalogRoundTripsAcrossInstances)
     SessionArchive archive(dir);
     EXPECT_TRUE(archive.entries().empty());
 
-    std::string p0 = archive.pathFor(0, 0, "alpha beta/1");
-    std::string p1 = archive.pathFor(1, 2, "gamma");
+    std::string p0 = archive.pathFor(0x10, "alpha beta/1");
+    std::string p1 = archive.pathFor(0x12, "gamma");
     EXPECT_NE(p0, p1);
     archive.record("alpha beta/1", p0, 10);
     archive.record("gamma", p1, 20);

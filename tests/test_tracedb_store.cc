@@ -463,7 +463,8 @@ class StoreFileTest : public ::testing::Test
     {
         FILE *f = std::fopen(path.c_str(), "wb");
         GT_ASSERT(f, "cannot rewrite ", path);
-        std::fwrite(bytes.data(), 1, bytes.size(), f);
+        if (!bytes.empty()) // data() may be null, which fwrite rejects
+            std::fwrite(bytes.data(), 1, bytes.size(), f);
         std::fclose(f);
     }
 

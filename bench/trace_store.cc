@@ -2,11 +2,12 @@
  * @file
  * Columnar trace-store benchmark: resident memory and exploration
  * query throughput of the sealed (on-disk columnar) TraceDatabase
- * against the fully-resident rows of the TraceDatabase::Builder it
- * was sealed from — the oracle the tests compare it against.
+ * against the fully-resident rows it was sealed from
+ * (reference::ResidentTrace, the oracle the tests compare it
+ * against).
  *
  * A large deterministic synthetic suite (hundreds of thousands of
- * joined dispatches) is joined once into builder rows and once into
+ * joined dispatches) is joined once into resident rows and once into
  * a sealed database, then both serve the paper's post-profiling
  * access pattern — interval division under all three schemes,
  * feature lowering and per-interval extraction, per-dispatch profile
@@ -36,6 +37,7 @@
 #include "core/features.hh"
 #include "core/interval.hh"
 #include "core/trace_db.hh"
+#include "reference/resident_trace.hh"
 
 using namespace gt;
 using core::TraceDatabase;
@@ -323,14 +325,14 @@ main(int argc, char **argv)
     std::cout << "synthetic suite: " << n << " dispatches, "
               << in.calls.size() << " api calls\n";
 
-    // "mem": the builder's joined rows; "columnar": build(), i.e. the
-    // same join sealed into the spill.
+    // "mem": the joined rows held resident; "columnar": build(), i.e.
+    // the same join sealed into the spill.
     auto profiles = in.profiles;
     auto t0 = std::chrono::steady_clock::now();
-    TraceDatabase::Builder mem;
+    reference::ResidentTrace mem;
     for (core::DispatchRecord &row : TraceDatabase::join(
              std::move(profiles), in.timings, in.calls))
-        mem.appendJoined(std::move(row));
+        mem.append(std::move(row));
     double mem_build_s = secondsSince(t0);
     profiles = in.profiles;
     t0 = std::chrono::steady_clock::now();

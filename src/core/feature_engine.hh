@@ -178,12 +178,6 @@ class FeatureEngine
     projectAll(const std::vector<Interval> &intervals,
                FeatureKind kind) const;
 
-    /** Memoized projection rows over the workload's key universe. */
-    const simpoint::ProjectionTable *projection() const
-    {
-        return &table;
-    }
-
   private:
     const TraceDatabase &db;
     DispatchFeatureCache cache;

@@ -21,11 +21,10 @@ struct InstrumentedRun
 {
     InstrumentedRun(const gpu::DeviceConfig &config,
                     const gpu::TrialConfig &trial,
-                    gpu::SharedPlanCache *plans = nullptr,
-                    gpu::SharedCheckpointCache *checkpoints = nullptr)
+                    gpu::SharedPlanCache *plans = nullptr)
         : driver(config, jit, trial), runtime(driver)
     {
-        driver.setSharedCaches(plans, checkpoints);
+        driver.setSharedPlanCache(plans);
         pin.addTool(&profileTool);
         pin.addTool(&bbTool);
         pin.addTool(&mixTool);
@@ -126,10 +125,9 @@ profileSuite(const std::vector<const workloads::Workload *> &apps,
 TraceDatabase
 replayTrial(const cfl::Recording &recording,
             const gpu::DeviceConfig &config,
-            const gpu::TrialConfig &trial, gpu::SharedPlanCache *plans,
-            gpu::SharedCheckpointCache *checkpoints)
+            const gpu::TrialConfig &trial, gpu::SharedPlanCache *plans)
 {
-    InstrumentedRun run(config, trial, plans, checkpoints);
+    InstrumentedRun run(config, trial, plans);
     cfl::replay(recording, run.runtime);
     return run.seal();
 }

@@ -13,8 +13,8 @@
  * another trial seed, another GPU frequency, another architecture
  * generation — producing a new trace database against which a
  * trial-1 selection can be validated (Fig. 8). The profiling service
- * replays every submitted recording through it too, sharing plan
- * and checkpoint caches across tenants.
+ * replays every submitted recording through it too, sharing one plan
+ * cache across tenants.
  */
 
 #ifndef GT_CORE_PIPELINE_HH
@@ -100,16 +100,14 @@ std::vector<ProfiledApp> profileSuite(
  * database. Instrumentation load shifts kernels' relative SPI, so
  * every replay carries the same tools the profiling run did, or
  * selections made on the profiling trial would be biased on
- * replays. The driver adopts and publishes execution plans and
- * checkpoints through @p plans and @p checkpoints when given.
+ * replays. The driver adopts and publishes execution plans through
+ * @p plans when given.
  * Throws FatalError on a malformed recording.
  */
 TraceDatabase replayTrial(const cfl::Recording &recording,
                           const gpu::DeviceConfig &config,
                           const gpu::TrialConfig &trial,
-                          gpu::SharedPlanCache *plans = nullptr,
-                          gpu::SharedCheckpointCache *checkpoints =
-                              nullptr);
+                          gpu::SharedPlanCache *plans = nullptr);
 
 } // namespace gt::core
 

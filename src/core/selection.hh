@@ -71,8 +71,7 @@ struct SubsetSelection
  * @param engine shared feature engine to extract through; must have
  *        been built over @p db. Null builds a private engine — fine
  *        for one-off calls, wasteful in a fan-out (the explorer
- *        passes one engine to all 30 configurations). The engine's
- *        memoized projection table is also handed to the clusterer.
+ *        passes one engine to all 30 configurations).
  */
 SubsetSelection
 selectSubset(const TraceDatabase &db, IntervalScheme scheme,

@@ -628,7 +628,6 @@ ProjectionTable::build(const std::vector<uint64_t> &keys)
     GT_ASSERT(std::is_sorted(keys.begin(), keys.end()),
               "projection table keys must be ascending");
     ProjectionTable table;
-    table.keyIndex = keys;
     table.rows.resize(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
         for (int d = 0; d < projectedDims; ++d)
@@ -637,32 +636,15 @@ ProjectionTable::build(const std::vector<uint64_t> &keys)
     return table;
 }
 
-const Point *
-ProjectionTable::row(uint64_t key) const
-{
-    auto it = std::lower_bound(keyIndex.begin(), keyIndex.end(), key);
-    if (it == keyIndex.end() || *it != key)
-        return nullptr;
-    return &rows[(size_t)(it - keyIndex.begin())];
-}
-
 Point
-project(const FeatureVector &vec, const ProjectionTable *table)
+project(const FeatureVector &vec)
 {
     Point p{};
     const std::vector<uint64_t> &keys = vec.keys();
     const std::vector<double> &values = vec.values();
     for (size_t i = 0; i < keys.size(); ++i) {
-        if (table) {
-            const Point *row = table->row(keys[i]);
-            GT_ASSERT(row, "projection table is missing key ",
-                      keys[i]);
-            for (int d = 0; d < projectedDims; ++d)
-                p[d] += values[i] * (*row)[d];
-        } else {
-            for (int d = 0; d < projectedDims; ++d)
-                p[d] += values[i] * projectionCoeff(keys[i], d);
-        }
+        for (int d = 0; d < projectedDims; ++d)
+            p[d] += values[i] * projectionCoeff(keys[i], d);
     }
     return p;
 }
@@ -682,7 +664,7 @@ cluster(const std::vector<FeatureVector> &vectors,
     size_t n = vectors.size();
     std::vector<Point> points(n);
     pool.parallelFor(n, [&](size_t i) {
-        points[i] = project(vectors[i], options.projection);
+        points[i] = project(vectors[i]);
     });
     return clusterPoints(points, weights, options);
 }

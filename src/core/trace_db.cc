@@ -76,97 +76,26 @@ TraceDatabase
 TraceDatabase::fromRows(std::vector<DispatchRecord> rows,
                         uint32_t block_size)
 {
-    Builder builder;
-    for (DispatchRecord &row : rows)
-        builder.appendJoined(std::move(row));
-    return builder.seal(block_size);
-}
-
-TraceDatabase
-TraceDatabase::build(std::vector<gtpin::DispatchProfile> profiles,
-                     const std::vector<cfl::KernelTiming> &timings,
-                     const std::vector<ocl::ApiCallRecord> &call_stream,
-                     uint32_t block_size)
-{
-    std::vector<DispatchRecord> rows =
-        join(std::move(profiles), timings, call_stream);
-    return fromRows(std::move(rows), block_size);
-}
-
-TraceDatabase
-TraceDatabase::openColumnarFile(const std::string &path)
-{
-    TraceDatabase db;
-    db.store = trace_store::ColumnarStore::openFile(path);
-    db.count = db.store->numDispatches();
-    db.instrTotal = db.store->totalInstrs();
-    // Left-to-right over the raw double column — the identical FP
-    // order the builder accumulated secondsTotal in, so the reopened
-    // totals (and the cached SPI quotient) carry the same bits.
-    const double *col = db.store->secondsData();
-    for (uint64_t i = 0; i < db.count; ++i)
-        db.secondsTotal += col[i];
-    if (db.count > 0)
-        db.syncEpochs = db.store->syncEpoch(db.count - 1) + 1;
-    if (db.instrTotal > 0)
-        db.spiCached = db.secondsTotal / (double)db.instrTotal;
-    return db;
-}
-
-void
-TraceDatabase::Builder::appendJoined(DispatchRecord rec)
-{
-    rec.profile.checkShape();
-
-    // Dispatches must arrive in order with monotone epochs.
-    if (!records.empty()) {
-        GT_ASSERT(rec.profile.seq > records.back().profile.seq,
-                  "dispatch records out of order");
-        GT_ASSERT(rec.syncEpoch >= records.back().syncEpoch,
-                  "sync epochs out of order");
+    for (size_t i = 0; i < rows.size(); ++i) {
+        rows[i].profile.checkShape();
+        // Dispatches must arrive in order with monotone epochs.
+        if (i > 0) {
+            GT_ASSERT(rows[i].profile.seq > rows[i - 1].profile.seq,
+                      "dispatch records out of order");
+            GT_ASSERT(rows[i].syncEpoch >= rows[i - 1].syncEpoch,
+                      "sync epochs out of order");
+        }
     }
 
-    // The running totals accumulate in append order — the one FP
-    // order every path shares, which is what makes seal() after any
-    // prefix bitwise equal to fromRows() over that prefix.
-    instrTotal += rec.profile.instrs;
-    secondsTotal += rec.seconds;
-    instrPrefix.push_back(instrPrefix.back() + rec.profile.instrs);
-    secondsCol.push_back(rec.seconds);
-    records.push_back(std::move(rec));
-}
-
-uint64_t
-TraceDatabase::Builder::memoryBytes() const
-{
-    uint64_t bytes = sizeof(*this);
-    bytes += records.size() * sizeof(DispatchRecord);
-    for (const DispatchRecord &rec : records) {
-        bytes += rec.profile.footprintBytes() -
-                 sizeof(gtpin::DispatchProfile);
-    }
-    bytes += instrPrefix.size() * sizeof(uint64_t);
-    bytes += secondsCol.size() * sizeof(double);
-    return bytes;
-}
-
-TraceDatabase
-TraceDatabase::Builder::seal(uint32_t block_size) const
-{
-    TraceDatabase db;
-    db.count = records.size();
-    db.instrTotal = instrTotal;
-    db.secondsTotal = secondsTotal;
-    if (db.instrTotal > 0)
-        db.spiCached = db.secondsTotal / (double)db.instrTotal;
     // An empty database keeps no store — the count guards in the
     // accessors cover it.
-    if (!records.empty()) {
-        db.syncEpochs = records.back().syncEpoch + 1;
+    std::shared_ptr<const trace_store::ColumnarStore> store;
+    if (!rows.empty()) {
         trace_store::ColumnarOptions options;
         options.blockSize = block_size;
-        db.store = trace_store::ColumnarStore::spill(records, options);
+        store = trace_store::ColumnarStore::spill(rows, options);
     }
+    TraceDatabase db = fromStore(std::move(store));
 
     // One footprint line per process, at the first real build: the
     // paper's traces are collected once and queried many times, so
@@ -183,6 +112,46 @@ TraceDatabase::Builder::seal(uint32_t block_size) const
         }();
         (void)logged;
     }
+    return db;
+}
+
+TraceDatabase
+TraceDatabase::build(std::vector<gtpin::DispatchProfile> profiles,
+                     const std::vector<cfl::KernelTiming> &timings,
+                     const std::vector<ocl::ApiCallRecord> &call_stream,
+                     uint32_t block_size)
+{
+    std::vector<DispatchRecord> rows =
+        join(std::move(profiles), timings, call_stream);
+    return fromRows(std::move(rows), block_size);
+}
+
+TraceDatabase
+TraceDatabase::openColumnarFile(const std::string &path)
+{
+    return fromStore(trace_store::ColumnarStore::openFile(path));
+}
+
+TraceDatabase
+TraceDatabase::fromStore(
+    std::shared_ptr<const trace_store::ColumnarStore> store)
+{
+    TraceDatabase db;
+    db.store = std::move(store);
+    if (!db.store)
+        return db;
+    db.count = db.store->numDispatches();
+    db.instrTotal = db.store->totalInstrs();
+    // Left-to-right over the raw double column, in dispatch order:
+    // the one FP order every sealed or reopened database shares, so
+    // the totals (and the cached SPI quotient) carry the same bits.
+    const double *col = db.store->secondsData();
+    for (uint64_t i = 0; i < db.count; ++i)
+        db.secondsTotal += col[i];
+    if (db.count > 0)
+        db.syncEpochs = db.store->syncEpoch(db.count - 1) + 1;
+    if (db.instrTotal > 0)
+        db.spiCached = db.secondsTotal / (double)db.instrTotal;
     return db;
 }
 
@@ -213,7 +182,7 @@ TraceDatabase::rangeInstrs(uint64_t first, uint64_t last) const
     GT_ASSERT(first <= last && last < count,
               "instr range [", first, ", ", last, "] out of range");
     // Exact integers: anchor + varint-delta reconstruction makes
-    // these the same prefix values the builder keeps.
+    // these the exact prefix sums of the joined rows.
     return store->instrPrefixAt(last + 1) - store->instrPrefixAt(first);
 }
 
@@ -224,7 +193,7 @@ TraceDatabase::rangeSeconds(uint64_t first, uint64_t last) const
               "seconds range [", first, ", ", last, "] out of range");
     // Left-to-right over the dense column; the columnar file stores
     // the raw double bits, so the accumulation is bit-for-bit the
-    // builder's sum.
+    // ordered sum over the joined rows.
     const double *col = secondsData();
     double acc = 0.0;
     for (uint64_t i = first; i <= last; ++i)

@@ -11,17 +11,16 @@
  * which dispatches begin a new synchronization epoch — the only
  * places a GPU simulation interval may legally start or stop.
  *
- * Records are joined once (join()) and appended to a Builder, whose
- * rows stay fully resident; sealing lowers them into an on-disk compressed columnar spill
- * (core/trace_store) that keeps only block-index metadata resident;
- * profiles decode on demand through per-thread block caches.
+ * Records are joined once (join()) and sealed (fromRows()) into an
+ * on-disk compressed columnar spill (core/trace_store) that keeps
+ * only block-index metadata resident; profiles decode on demand
+ * through per-thread block caches.
  *
  * Every accessor of the sealed database returns bitwise the values
- * of the builder's resident rows — the oracle the tests compare it
- * against: totals accumulate in the builder's FP order, seconds are
- * stored as raw doubles and range sums always accumulate
- * left-to-right over the dense column, and the integer columns
- * round-trip exactly.
+ * of the joined rows it was sealed from: totals accumulate
+ * left-to-right in dispatch order, seconds are stored as raw doubles
+ * and range sums always accumulate left-to-right over the dense
+ * column, and the integer columns round-trip exactly.
  */
 
 #ifndef GT_CORE_TRACE_DB_HH
@@ -95,8 +94,6 @@ struct TraceDbFootprint
 class TraceDatabase
 {
   public:
-    class Builder;
-
     TraceDatabase();
     ~TraceDatabase();
     /** Copies share the immutable store. */
@@ -129,7 +126,10 @@ class TraceDatabase
     static std::vector<std::pair<uint64_t, uint64_t>>
     assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
 
-    /** Seal already-joined @p rows, moving them through a Builder. */
+    /**
+     * Seal already-joined @p rows into a columnar spill. Rows must
+     * be in ascending seq order with non-decreasing sync epochs.
+     */
     static TraceDatabase
     fromRows(std::vector<DispatchRecord> rows,
              uint32_t block_size = trace_store::defaultBlockSize);
@@ -144,9 +144,9 @@ class TraceDatabase
 
     /**
      * Open a persistent columnar archive written by writeArchive().
-     * The totals are recomputed from the mapped columns in the same
-     * left-to-right order build() accumulated them, so the result is
-     * bitwise identical to the database that was archived.
+     * The totals are derived from the mapped columns exactly as
+     * fromRows() derives them, so the result is bitwise identical to
+     * the database that was archived.
      */
     static TraceDatabase openColumnarFile(const std::string &path);
 
@@ -211,6 +211,11 @@ class TraceDatabase
     void writeArchive(const std::string &path) const;
 
   private:
+    /** Adopt @p store (null when empty), deriving the count, totals,
+     * epoch count and SPI from its columns. */
+    static TraceDatabase
+    fromStore(std::shared_ptr<const trace_store::ColumnarStore> store);
+
     uint64_t count = 0;
     uint64_t instrTotal = 0;
     double secondsTotal = 0.0;
@@ -219,89 +224,6 @@ class TraceDatabase
 
     /** The mapped spill (null when empty). */
     std::shared_ptr<const trace_store::ColumnarStore> store;
-};
-
-/**
- * Construction of a TraceDatabase from joined rows, appended in
- * dispatch order.
- *
- * The builder keeps its rows resident together with the running
- * totals, prefix sums and dense seconds column, accumulated in append
- * order — the FP order every path shares — so seal() after any number
- * of appends is bitwise identical to fromRows() over the same rows.
- * fromRows() seals every profiled run and replay through one.
- *
- * The prefix accessors mirror the TraceDatabase query API. Builders
- * are copyable — tests check every sealed accessor against the
- * builder's resident rows.
- */
-class TraceDatabase::Builder
-{
-  public:
-    /**
-     * Append one joined dispatch. Dispatches must arrive in
-     * ascending seq order with non-decreasing sync epochs.
-     */
-    void appendJoined(DispatchRecord row);
-
-    /** Dispatches appended so far. */
-    uint64_t numAppended() const { return records.size(); }
-
-    const gtpin::DispatchProfile &
-    profileAt(uint64_t i) const
-    {
-        return records[i].profile;
-    }
-
-    double seconds(uint64_t i) const { return records[i].seconds; }
-
-    uint64_t
-    syncEpoch(uint64_t i) const
-    {
-        return records[i].syncEpoch;
-    }
-
-    uint64_t totalInstrs() const { return instrTotal; }
-
-    double totalSeconds() const { return secondsTotal; }
-
-    /** Dynamic instructions of appended dispatches [first, last],
-     * both inclusive (exact prefix-sum subtraction). */
-    uint64_t
-    rangeInstrs(uint64_t first, uint64_t last) const
-    {
-        return instrPrefix[last + 1] - instrPrefix[first];
-    }
-
-    /** Kernel seconds of [first, last], accumulated left-to-right
-     * like TraceDatabase::rangeSeconds. */
-    double
-    rangeSeconds(uint64_t first, uint64_t last) const
-    {
-        double acc = 0.0;
-        for (uint64_t i = first; i <= last; ++i)
-            acc += secondsCol[i];
-        return acc;
-    }
-
-    /** Resident bytes of the builder: joined records (including the
-     * profiles' heap) and the prefix/seconds columns. */
-    uint64_t memoryBytes() const;
-
-    /**
-     * Produce the database for everything appended so far, spilled
-     * straight from the resident rows; the builder stays usable.
-     * Bitwise identical to fromRows() over the same rows.
-     */
-    TraceDatabase
-    seal(uint32_t block_size = trace_store::defaultBlockSize) const;
-
-  private:
-    std::vector<DispatchRecord> records;
-    std::vector<uint64_t> instrPrefix{0};
-    std::vector<double> secondsCol;
-    uint64_t instrTotal = 0;
-    double secondsTotal = 0.0;
 };
 
 } // namespace gt::core

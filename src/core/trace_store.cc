@@ -174,10 +174,8 @@ encodeFile(const std::vector<DispatchRecord> &records,
 }
 
 std::string
-spillDirectory(const ColumnarOptions &options)
+tracedbDirectory()
 {
-    if (!options.spillDir.empty())
-        return options.spillDir;
     if (const char *env = std::getenv("GT_TRACEDB_DIR");
         env && *env != '\0')
         return env;
@@ -324,7 +322,7 @@ ColumnarStore::spill(const std::vector<DispatchRecord> &records,
 {
     std::vector<uint8_t> file = encodeFile(records, options);
 
-    std::string path = spillDirectory(options) + "/gt-tracedb-" +
+    std::string path = tracedbDirectory() + "/gt-tracedb-" +
                        std::to_string((uint64_t)::getpid()) + "-" +
                        std::to_string(nextSpillSerial.fetch_add(1)) +
                        ".gtcol";
@@ -366,35 +364,15 @@ ColumnarStore::spill(const std::vector<DispatchRecord> &records,
     return store;
 }
 
-namespace
-{
-
 void
-writeBytes(const uint8_t *data, uint64_t size, const std::string &path)
+ColumnarStore::writeTo(const std::string &path) const
 {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os)
         fatal("trace store: cannot open '", path, "' for writing");
-    os.write((const char *)data, (std::streamsize)size);
+    os.write((const char *)map, (std::streamsize)mapLen);
     if (!os)
         fatal("trace store: write to '", path, "' failed");
-}
-
-} // anonymous namespace
-
-void
-ColumnarStore::writeFile(const std::vector<DispatchRecord> &records,
-                         const std::string &path,
-                         const ColumnarOptions &options)
-{
-    std::vector<uint8_t> file = encodeFile(records, options);
-    writeBytes(file.data(), file.size(), path);
-}
-
-void
-ColumnarStore::writeTo(const std::string &path) const
-{
-    writeBytes(map, mapLen, path);
 }
 
 std::shared_ptr<const ColumnarStore>

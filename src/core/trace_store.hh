@@ -27,9 +27,10 @@
  * decoded-block cache (thread_local, so a fully built store stays
  * shareable across scheduler tasks with no locks — the same
  * "fully built => const" contract trace_db.hh documents). Every
- * accessor returns values bitwise identical to the builder rows it
- * was spilled from: integers round-trip exactly through varints, doubles are
- * stored raw, and strings round-trip through the name table.
+ * accessor returns values bitwise identical to the joined rows it
+ * was spilled from: integers round-trip exactly through varints,
+ * doubles are stored raw, and strings round-trip through the name
+ * table.
  *
  * The file begins with a versioned magic header that records the
  * total file size; a short, truncated, or corrupt file fails with a
@@ -57,9 +58,6 @@ namespace gt::core::trace_store
 struct ColumnarOptions
 {
     uint32_t blockSize = defaultBlockSize;
-    /** Spill directory; empty means GT_TRACEDB_DIR, then TMPDIR,
-     * then /tmp. */
-    std::string spillDir;
 };
 
 /**
@@ -93,19 +91,13 @@ uint64_t threadCacheResidentBytes();
 class ColumnarStore
 {
   public:
-    /** Encode @p records into a fresh spill file (created, mapped,
-     * then immediately unlinked, so it can never leak), and return
-     * the opened store. */
+    /** Encode @p records into a fresh spill file under
+     * GT_TRACEDB_DIR, then TMPDIR, then /tmp (created, mapped, then
+     * immediately unlinked, so it can never leak), and return the
+     * opened store. */
     static std::shared_ptr<const ColumnarStore>
     spill(const std::vector<DispatchRecord> &records,
           const ColumnarOptions &options = {});
-
-    /** Encode @p records to @p path and keep the file — the
-     * persistent-artifact entry point (tests, post-hoc analysis). */
-    static void
-    writeFile(const std::vector<DispatchRecord> &records,
-              const std::string &path,
-              const ColumnarOptions &options = {});
 
     /** Write this store's encoded file to @p path, byte for byte
      * (no re-encode); openFile() reopens it. */
@@ -133,7 +125,7 @@ class ColumnarStore
     uint64_t syncEpoch(uint64_t i) const;
 
     /** Instructions of all dispatches before @p i (i in [0,
-     * count]); equals the builder's instrPrefix[i]. */
+     * count]), exact. */
     uint64_t instrPrefixAt(uint64_t i) const;
 
     /** Decode (or fetch from the calling thread's cache) dispatch

@@ -90,11 +90,9 @@ GpuDriver::execute(uint32_t kernel_id, uint64_t global_size,
 }
 
 void
-GpuDriver::setSharedCaches(gpu::SharedPlanCache *plan_cache,
-                           gpu::SharedCheckpointCache *ckpt_cache)
+GpuDriver::setSharedPlanCache(gpu::SharedPlanCache *plan_cache)
 {
     exec.setSharedPlanCache(plan_cache);
-    sharedCkpts = ckpt_cache;
 }
 
 const gpu::DetailedCheckpoint &
@@ -109,20 +107,7 @@ GpuDriver::checkpoint(uint32_t kernel_id, uint64_t global_size,
     dispatch.globalSize = global_size;
     dispatch.simdWidth = simd_width;
     dispatch.args = args;
-    if (!sharedCkpts)
-        return ckpts.get(exec, dispatch, kernel_id);
-
-    gpu::SharedCheckpointCache::Key key;
-    key.binaryHash = isa::contentHash(bin);
-    key.globalSize = global_size;
-    key.simdWidth = simd_width;
-    key.argsHash = gpu::dispatchArgsHash(args);
-    key.traceCap = 4'000'000;
-    if (auto hit = sharedCkpts->find(key))
-        return *hit;
-    const gpu::DetailedCheckpoint &built =
-        ckpts.get(exec, dispatch, kernel_id);
-    return *sharedCkpts->insert(key, built, bin);
+    return ckpts.get(exec, dispatch, kernel_id);
 }
 
 double

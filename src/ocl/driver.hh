@@ -130,15 +130,12 @@ class GpuDriver
     gpu::CheckpointStore &checkpoints() { return ckpts; }
 
     /**
-     * Attach cross-driver caches (either may be null). The plan
-     * cache is forwarded to the executor, which adopts published
-     * execution plans by binary content hash; the checkpoint cache
-     * is consulted by checkpoint() before the local store, so
-     * tenants sharing kernels pay one functional pre-pass between
-     * them. Both caches must outlive the driver.
+     * Attach a cross-driver plan cache (may be null). It is
+     * forwarded to the executor, which adopts published execution
+     * plans by binary content hash. The cache must outlive the
+     * driver.
      */
-    void setSharedCaches(gpu::SharedPlanCache *plan_cache,
-                         gpu::SharedCheckpointCache *ckpt_cache);
+    void setSharedPlanCache(gpu::SharedPlanCache *plan_cache);
 
     /** Functional execution mode (Fast by default). */
     void setExecMode(gpu::Executor::Mode mode) { execMode = mode; }
@@ -178,7 +175,6 @@ class GpuDriver
     gpu::Executor::Mode execMode = gpu::Executor::Mode::Fast;
     gpu::MemBatchFn memBatch;
     gpu::CheckpointStore ckpts;
-    gpu::SharedCheckpointCache *sharedCkpts = nullptr;
     std::vector<KernelEntry> kernels;
     uint64_t nextSeq = 0;
     double busySeconds = 0.0;

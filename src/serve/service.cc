@@ -311,7 +311,6 @@ ProfilingService::stats() const
         st.artifactHits = artifactHitCount;
     }
     st.planCache = plans.stats();
-    st.checkpointCache = ckpts.stats();
     return st;
 }
 
@@ -330,7 +329,7 @@ ProfilingService::runReplay(Workload &leader, cfl::Recording recording)
             // a 1-thread pool) must not wait on its own slot.
             sched::PoolHandle::Slot slot = admission.acquireReentrant();
             db = core::replayTrial(recording, cfg.device, cfg.trial,
-                                   &plans, &ckpts);
+                                   &plans);
         }
         recording = cfl::Recording(); // only the replay reads it
         session = std::make_shared<WorkloadSession>(
@@ -448,11 +447,9 @@ ProfilingService::memoryFootprint() const
         }
     }
     fp.planCacheBytes = plans.memoryBytes();
-    fp.checkpointCacheBytes = ckpts.memoryBytes();
     fp.traceCacheBytes = core::trace_store::threadCacheResidentBytes();
     fp.totalBytes = fp.sessionBytes + fp.evictedResidueBytes +
-                    fp.memoBytes + fp.planCacheBytes +
-                    fp.checkpointCacheBytes + fp.artifactBytes +
+                    fp.memoBytes + fp.planCacheBytes + fp.artifactBytes +
                     fp.traceCacheBytes;
     return fp;
 }

@@ -24,8 +24,6 @@
  *  - gpu::SharedPlanCache — kernel execution plans (decoded uop
  *    programs, block cycle tables, gang verdicts) keyed on
  *    isa::contentHash, shared by every tenant driver;
- *  - gpu::SharedCheckpointCache — detailed-mode warm checkpoints
- *    keyed on (binary hash, dispatch shape);
  *  - the session cache here — shared_ptr<WorkloadSession> keyed on
  *    cfl::recordingContentHash. Admission is single-flight: the
  *    first submission of a recording leads its replay; a copy
@@ -38,7 +36,7 @@
  *    aggregate throughput scale with tenant count
  *    (bench/service_throughput gates it).
  *
- * All caches follow the repo's "fully built => const, shareable"
+ * Both caches follow the repo's "fully built => const, shareable"
  * contract: entries are published only once complete and never
  * mutated afterwards, so any thread may read them.
  *
@@ -235,7 +233,6 @@ struct ServiceStats
     uint64_t artifactHits = 0;
     SessionStats sessions; //!< summed over the distinct sessions
     gpu::SharedCacheStats planCache;
-    gpu::SharedCacheStats checkpointCache;
 };
 
 /** Where the service's resident bytes live (approximate,
@@ -254,8 +251,7 @@ struct ServiceFootprint
      * Retained across eviction, so this grows with the number of
      * distinct recordings, not with submissions. */
     uint64_t memoBytes = 0;
-    uint64_t planCacheBytes = 0;       //!< shared execution plans
-    uint64_t checkpointCacheBytes = 0; //!< adopted checkpoints
+    uint64_t planCacheBytes = 0; //!< shared execution plans
     /** The session cache's own index: one entry per distinct
      * recording (hash, shared reference, LRU ticket). The sessions
      * it references are counted above. */
@@ -319,8 +315,6 @@ class ProfilingService
 
     gpu::SharedPlanCache &planCache() { return plans; }
 
-    gpu::SharedCheckpointCache &checkpointCache() { return ckpts; }
-
     const ServiceConfig &config() const { return cfg; }
 
     ServiceStats stats() const;
@@ -328,9 +322,9 @@ class ProfilingService
     /**
      * Approximate resident bytes of the service: every distinct
      * session's state (WorkloadSession::memoryBytes and memoBytes)
-     * plus the shared caches and the calling thread's trace-store
-     * decode cache. The eviction tests assert it stays bounded as
-     * tenants accumulate.
+     * plus the shared plan cache, the session cache's index and the
+     * calling thread's trace-store decode cache. The eviction tests
+     * assert it stays bounded as tenants accumulate.
      */
     ServiceFootprint memoryFootprint() const;
 
@@ -382,7 +376,6 @@ class ProfilingService
     sched::ThreadPool &pool;
     sched::PoolHandle admission;
     gpu::SharedPlanCache plans;
-    gpu::SharedCheckpointCache ckpts;
 
     std::string archiveRoot;
     std::mutex archiveMutex;

@@ -89,17 +89,16 @@ TEST_P(EngineWorkloadTest, ProjectionsMatchOnTheFlyBitwise)
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
     FeatureEngine flat(app.db);
-    ASSERT_NE(flat.projection(), nullptr);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
         for (FeatureKind kind : allKinds()) {
+            auto points = flat.projectAll(intervals, kind);
             auto vectors = flat.extractAll(intervals, kind);
-            for (const FeatureVector &vec : vectors) {
-                simpoint::Point memo =
-                    simpoint::project(vec, flat.projection());
-                simpoint::Point fly = simpoint::project(vec);
+            ASSERT_EQ(points.size(), vectors.size());
+            for (size_t i = 0; i < vectors.size(); ++i) {
+                simpoint::Point fly = simpoint::project(vectors[i]);
                 for (int d = 0; d < simpoint::projectedDims; ++d)
-                    ASSERT_EQ(memo[d], fly[d]) << "dim " << d;
+                    ASSERT_EQ(points[i][d], fly[d]) << "dim " << d;
             }
         }
     }
@@ -390,26 +389,31 @@ TEST(ProjectionTable, RowsMatchOnTheFlyCoefficients)
     std::vector<uint64_t> keys = {2, 17, 0x9000000000000001ull};
     auto table = simpoint::ProjectionTable::build(keys);
     EXPECT_EQ(table.size(), keys.size());
-    for (uint64_t key : keys) {
-        ASSERT_NE(table.row(key), nullptr);
+    for (size_t i = 0; i < keys.size(); ++i) {
         FeatureVector unit;
-        unit.add(key, 1.0);
-        simpoint::Point via_table = simpoint::project(unit, &table);
+        unit.add(keys[i], 1.0);
         simpoint::Point via_hash = simpoint::project(unit);
         for (int d = 0; d < simpoint::projectedDims; ++d)
-            EXPECT_EQ(via_table[d], via_hash[d]);
+            EXPECT_EQ(table.rowAt(i)[d], via_hash[d]);
     }
-    EXPECT_EQ(table.row(3), nullptr);
-    EXPECT_EQ(table.row(0xffffffffffffffffull), nullptr);
 }
 
 TEST(ProjectionTable, MissingKeyTripsAssert)
 {
     setLogQuiet(true);
-    auto table = simpoint::ProjectionTable::build({10, 20});
-    FeatureVector vec;
-    vec.add(15, 1.0);
-    EXPECT_THROW(simpoint::project(vec, &table), PanicError);
+    TraceDatabase db = edgeDb();
+    DispatchFeatureCache cache(db);
+    std::vector<uint64_t> keys = cache.uniqueKeys();
+    ASSERT_FALSE(keys.empty());
+    keys.pop_back(); // one key short of the cache's universe
+    auto table = simpoint::ProjectionTable::build(keys);
+    DispatchFeatureCache::Scratch scratch;
+    Interval whole;
+    whole.firstDispatch = 0;
+    whole.lastDispatch = db.numDispatches() - 1;
+    EXPECT_THROW(cache.projectInto(whole, FeatureKind::BB, scratch,
+                                   table),
+                 PanicError);
     setLogQuiet(false);
 }
 

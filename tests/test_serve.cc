@@ -1,8 +1,8 @@
 /**
  * @file
- * Profiling-service differential tests: the TraceDatabase::Builder
- * over joined rows, sessions, single-flight admission, eviction, and
- * the shared content-addressed caches.
+ * Profiling-service differential tests: sealing prefixes of joined
+ * rows, sessions, single-flight admission, eviction, and the shared
+ * content-addressed plan cache.
  *
  * The service's central contract is "session == one-shot, bitwise":
  * a session answers with exactly the database and selections a batch
@@ -148,17 +148,16 @@ joinedRows(const Inputs &in)
 }
 
 // ---------------------------------------------------------------
-// TraceDatabase::Builder over assignEpochs() rows vs. batch build().
+// fromRows() over prefixes of the joined rows vs. batch build().
 
 TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
 {
     const uint64_t n = 300;
     Inputs in = makeInputs(n);
-    // The walk over the whole call stream; the batch oracle below
-    // walks only the prefix issued so far.
-    std::vector<std::pair<uint64_t, uint64_t>> epochs =
-        TraceDatabase::assignEpochs(in.calls);
-    ASSERT_EQ(epochs.size(), n);
+    // Joined with the epoch walk over the whole call stream; the
+    // batch oracle below walks only the prefix issued so far.
+    std::vector<DispatchRecord> rows = joinedRows(in);
+    ASSERT_EQ(rows.size(), n);
     std::vector<size_t> issued(n); // calls issued through dispatch d
     for (size_t c = 0; c < in.calls.size(); ++c) {
         if (in.calls[c].id == ocl::ApiCallId::EnqueueNDRangeKernel)
@@ -166,11 +165,7 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
     }
 
     for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
-        TraceDatabase::Builder builder;
         for (uint64_t d = 0; d < n; ++d) {
-            ASSERT_EQ(epochs[d].first, d);
-            builder.appendJoined({in.profiles[d], in.timings[d].seconds,
-                                  epochs[d].second});
             if ((d + 1) % chunk != 0 && d + 1 != n)
                 continue;
             // Batch-join the same prefix: every call issued so far,
@@ -182,7 +177,9 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
                  in.timings.begin() + (long)(d + 1)},
                 {in.calls.begin(),
                  in.calls.begin() + (long)issued[d]});
-            expectSameDb(builder.seal(), want);
+            expectSameDb(TraceDatabase::fromRows(
+                             {rows.begin(), rows.begin() + (long)(d + 1)}),
+                         want);
         }
     }
 }
@@ -492,18 +489,17 @@ TEST(ServeService, EmptyRecordingFailsOnlyItsWorkload)
 }
 
 // ---------------------------------------------------------------
-// Shared content-addressed caches.
+// The shared content-addressed plan cache.
 
 TEST(ServeCaches, PlanCacheSharesAcrossDrivers)
 {
     const core::ProfiledApp &app = gaussianApp();
     gpu::SharedPlanCache plans(gpu::DeviceConfig::hd4000());
-    gpu::SharedCheckpointCache ckpts;
 
-    auto replayWithSharedCaches = [&]() {
+    auto replayWithSharedCache = [&]() {
         workloads::TemplateJit jit;
         ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, {});
-        driver.setSharedCaches(&plans, &ckpts);
+        driver.setSharedPlanCache(&plans);
         gtpin::KernelProfileTool profile_tool;
         gtpin::GtPin pin;
         pin.addTool(&profile_tool);
@@ -514,12 +510,12 @@ TEST(ServeCaches, PlanCacheSharesAcrossDrivers)
         return profile_tool.takeProfiles();
     };
 
-    auto first = replayWithSharedCaches();
+    auto first = replayWithSharedCache();
     gpu::SharedCacheStats cold = plans.stats();
     EXPECT_GT(cold.builds, 0u);
     EXPECT_GT(cold.misses, 0u);
 
-    auto second = replayWithSharedCaches();
+    auto second = replayWithSharedCache();
     gpu::SharedCacheStats warm = plans.stats();
     // Same kernels: the second driver builds nothing and hits for
     // every plan the first one published.
@@ -782,8 +778,7 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
         EXPECT_EQ(fp.totalBytes,
                   fp.sessionBytes + fp.evictedResidueBytes +
                       fp.memoBytes + fp.planCacheBytes +
-                      fp.checkpointCacheBytes + fp.artifactBytes +
-                      fp.traceCacheBytes);
+                      fp.artifactBytes + fp.traceCacheBytes);
         EXPECT_GT(fp.planCacheBytes, 0u);
         EXPECT_GT(fp.artifactBytes, 0u); // the session cache's entry
     }
@@ -852,47 +847,6 @@ TEST(ServeArchive, CatalogRoundTripsAcrossInstances)
         EXPECT_EQ(again[i].workload, rows[i].workload);
     }
     EXPECT_EQ(SessionArchive::readCatalog(dir).size(), rows.size());
-}
-
-TEST(ServeCaches, CheckpointCacheConcurrentLookupsAreExact)
-{
-    gpu::SharedCheckpointCache cache;
-    isa::KernelBinary binary;
-    binary.name = "ckpt_test_kernel";
-
-    const unsigned threads = 4;
-    const uint64_t keys = 8, iters = 200;
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&]() {
-            for (uint64_t i = 0; i < iters; ++i) {
-                gpu::SharedCheckpointCache::Key key;
-                key.binaryHash = 0x1234;
-                key.globalSize = 64 << (i % keys);
-                key.simdWidth = 16;
-                auto ckpt = cache.find(key);
-                if (!ckpt) {
-                    gpu::DetailedCheckpoint built;
-                    built.numThreads = key.globalSize / 16;
-                    built.truncation = 1.0;
-                    ckpt = cache.insert(key, built, binary);
-                }
-                ASSERT_EQ(ckpt->numThreads, key.globalSize / 16);
-                // The stored copy points at the cache's interned
-                // clone, never at tenant-owned state.
-                ASSERT_NE(ckpt->binary, nullptr);
-                ASSERT_NE(ckpt->binary, &binary);
-                EXPECT_EQ(ckpt->binary->name, binary.name);
-            }
-        });
-    }
-    for (std::thread &w : workers)
-        w.join();
-
-    gpu::SharedCacheStats stats = cache.stats();
-    EXPECT_EQ(cache.size(), keys);
-    EXPECT_EQ(stats.builds, keys);
-    EXPECT_EQ(stats.hits + stats.misses, threads * iters);
 }
 
 } // anonymous namespace

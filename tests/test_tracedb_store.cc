@@ -1,8 +1,8 @@
 /**
  * @file
  * Columnar trace-store tests: every accessor of a sealed database
- * must be bitwise identical to the TraceDatabase::Builder's resident
- * rows it was sealed from (the oracle), the varint encoder must
+ * must be bitwise identical to the resident rows it was sealed from
+ * (reference::ResidentTrace, the oracle), the varint encoder must
  * round-trip its continuation boundaries exactly, and truncated or
  * corrupt files must fail with FatalError, never a wild read — on
  * synthetic traces, on every builtin kernel template, and end-to-end
@@ -26,6 +26,7 @@
 #include "core/trace_store.hh"
 #include "gtpin/tools.hh"
 #include "ocl/runtime.hh"
+#include "reference/resident_trace.hh"
 #include "workloads/templates.hh"
 #include "workloads/workload.hh"
 
@@ -215,13 +216,13 @@ expectProfilesEqual(const gtpin::DispatchProfile &a,
     EXPECT_EQ(a.bytesWritten, b.bytesWritten);
 }
 
-/** Every public accessor of @p col against the builder @p rows it
+/** Every public accessor of @p col against the resident @p rows it
  * was sealed from, bitwise. */
 void
-expectDatabasesEqual(const TraceDatabase::Builder &rows,
+expectDatabasesEqual(const reference::ResidentTrace &rows,
                      const TraceDatabase &col)
 {
-    const uint64_t n = rows.numAppended();
+    const uint64_t n = rows.numDispatches();
     ASSERT_EQ(n, col.numDispatches());
     EXPECT_EQ(rows.totalInstrs(), col.totalInstrs());
     EXPECT_EQ(rows.totalSeconds(), col.totalSeconds()); // bitwise
@@ -256,14 +257,14 @@ expectDatabasesEqual(const TraceDatabase::Builder &rows,
     }
 }
 
-/** The joined rows of @p t (build()'s join), held by a builder. */
-TraceDatabase::Builder
+/** The joined rows of @p t (build()'s join), held resident. */
+reference::ResidentTrace
 buildRows(const SyntheticTrace &t)
 {
-    TraceDatabase::Builder rows;
+    reference::ResidentTrace rows;
     for (DispatchRecord &row :
          TraceDatabase::join(t.profiles, t.timings, t.calls))
-        rows.appendJoined(std::move(row));
+        rows.append(std::move(row));
     return rows;
 }
 
@@ -310,10 +311,7 @@ TEST_P(BlockSizeTest, SyntheticDifferentialBitwise)
     // 421 dispatches: prime, so it never divides evenly into blocks
     // and the last block is always partial.
     SyntheticTrace t = makeTrace(421, 13);
-    TraceDatabase::Builder rows = buildRows(t);
-    expectDatabasesEqual(rows, buildFrom(t, GetParam()));
-    // Sealing mid-stream leaves the builder's rows intact.
-    expectDatabasesEqual(rows, rows.seal(GetParam()));
+    expectDatabasesEqual(buildRows(t), buildFrom(t, GetParam()));
     setLogQuiet(false);
 }
 
@@ -331,14 +329,14 @@ TEST(TraceStore, FootprintShrinksAndIsAccounted)
 {
     setLogQuiet(true);
     SyntheticTrace t = makeTrace(4096, 32);
-    TraceDatabase::Builder rows = buildRows(t);
-    TraceDatabase col = rows.seal();
+    reference::ResidentTrace rows = buildRows(t);
+    TraceDatabase col = buildFrom(t);
 
     TraceDbFootprint fc = col.memoryFootprint();
     EXPECT_GT(fc.fileBytes, 0u);
     EXPECT_GT(fc.profileBytes, 0u);
     EXPECT_EQ(fc.residentBytes, fc.columnBytes + fc.cacheBytes);
-    // The resident reduction against the builder's rows is the point
+    // The resident reduction against the resident rows is the point
     // of the store.
     EXPECT_LT(fc.residentBytes, rows.memoryBytes() / 5);
     // Touch a profile: the thread cache now holds a decoded block.
@@ -378,7 +376,7 @@ TEST(TraceStore, ConcurrentReadersSeeIdenticalData)
 {
     setLogQuiet(true);
     SyntheticTrace t = makeTrace(300, 10);
-    TraceDatabase::Builder rows = buildRows(t);
+    reference::ResidentTrace rows = buildRows(t);
     TraceDatabase col = buildFrom(t, 8);
 
     // Each thread walks a different stride so block decodes overlap
@@ -439,8 +437,8 @@ class StoreFileTest : public ::testing::Test
         }
         trace_store::ColumnarOptions options;
         options.blockSize = 16;
-        trace_store::ColumnarStore::writeFile(records, path,
-                                              options);
+        trace_store::ColumnarStore::spill(records, options)
+            ->writeTo(path);
         return records;
     }
 
@@ -635,7 +633,8 @@ TEST(TraceStoreExplore, ExplorationBitwiseAcrossBackendsAndThreads)
     gpu::TrialConfig trial; // profileApp's default
     TraceDatabase col =
         replayTrial(app.recording, gpu::DeviceConfig::hd4000(), trial);
-    TraceDatabase::Builder rows = buildRows(replayInputs(app.recording));
+    reference::ResidentTrace rows =
+        buildRows(replayInputs(app.recording));
     expectDatabasesEqual(rows, col);
 
     auto explore = [](const TraceDatabase &db, unsigned threads) {
@@ -649,7 +648,7 @@ TEST(TraceStoreExplore, ExplorationBitwiseAcrossBackendsAndThreads)
     // A second seal of the same rows with other block boundaries must
     // explore identically at every thread count.
     Exploration want = explore(col, 1);
-    TraceDatabase resealed = rows.seal(16);
+    TraceDatabase resealed = TraceDatabase::fromRows(rows.rows(), 16);
     for (unsigned threads :
          {1u, 4u, std::max(1u, std::thread::hardware_concurrency())}) {
         Exploration got = explore(resealed, threads);

@@ -24,7 +24,8 @@
  *
  *     cd /path/to/repo && build/bench/detailed_validate
  *
- * Pass --smoke for the single-application CI variant.
+ * Pass --smoke for the single-application CI variant, which writes
+ * BENCH_detailed.smoke.json instead.
  */
 
 #include <chrono>
@@ -242,7 +243,7 @@ main(int argc, char **argv)
                  "legacy): "
               << fixed(geomean.value(), 1) << "x\n";
 
-    bench::BenchReport report("BENCH_detailed.json");
+    bench::BenchReport report("BENCH_detailed.json", smoke);
     for (const Row &r : rows) {
         report.addRow()
             .field("app", r.app)

@@ -133,9 +133,12 @@ render(T value)
 
 } // anonymous namespace
 
-BenchReport::BenchReport(std::string file_name)
+BenchReport::BenchReport(std::string file_name, bool smoke)
     : file(std::move(file_name))
 {
+    const std::string ext = ".json";
+    if (smoke && file.ends_with(ext))
+        file.insert(file.size() - ext.size(), ".smoke");
 }
 
 void

@@ -111,8 +111,13 @@ class CaptureReporter : public benchmark::ConsoleReporter
 class BenchReport
 {
   public:
-    /** @param file_name e.g. "BENCH_gang.json" (cwd-relative). */
-    explicit BenchReport(std::string file_name);
+    /**
+     * @param file_name e.g. "BENCH_interp.json" (cwd-relative)
+     * @param smoke     the bench ran with --smoke: write
+     *                  "BENCH_interp.smoke.json" instead, so a smoke
+     *                  run never overwrites the committed full-run file
+     */
+    explicit BenchReport(std::string file_name, bool smoke = false);
 
     /** One object in the "benchmarks" array. */
     class Row

@@ -34,7 +34,8 @@
  *
  * Pass --smoke for the {1,64}-tenant CI variant (the 256-tenant
  * point and the 16-tenant curve fill are skipped; every gate is
- * kept). Results land in BENCH_service.json.
+ * kept). Results land in BENCH_service.json (BENCH_service.smoke.json
+ * under --smoke).
  */
 
 #include <chrono>
@@ -391,7 +392,7 @@ main(int argc, char **argv)
             resident_bounded = false;
     }
 
-    bench::BenchReport report("BENCH_service.json");
+    bench::BenchReport report("BENCH_service.json", smoke);
     for (const ScaleResult &r : results) {
         report.addRow()
             .field("tenants", (uint64_t)r.tenants)

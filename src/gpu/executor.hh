@@ -23,19 +23,10 @@
  * execute in both modes, accumulating into the TraceBuffer, so
  * profiles are produced identically regardless of mode.
  *
- * When Full mode runs at least two threads explicitly and the plan's
- * gang-safety verdict holds for the dispatch's arguments, up to
- * gangSize threads are reset into one structure-of-arrays context and
- * driven through the shared uop stream in lockstep, so each handler
- * invocation is a single vectorizable loop over all gang lanes
- * instead of one short loop per thread. Threads whose control flow
- * leaves the gang's consensus superblock retire and finish on the
- * scalar path; kernels whose stores the plan-time gang-safety proof
- * (isa::analyzeGangSafety) cannot show to be order-invisible run
- * scalar. Either way every observable — profiles, trace deltas,
- * memory, trace-record order — is bitwise identical to running the
- * threads one at a time, which the scalar reference interpreter in
- * tests/reference checks.
+ * Threads run one at a time, in thread order, on one reusable
+ * architectural context, so every observable — profiles, trace
+ * deltas, memory, memory-trace record order — is bitwise identical to
+ * the scalar reference interpreter in tests/reference.
  */
 
 #ifndef GT_GPU_EXECUTOR_HH
@@ -56,7 +47,6 @@ namespace gt::gpu
 {
 
 struct DetailedCheckpoint;
-struct UopSt;
 
 /** One kernel launch: binary, ND-range shape, and argument values. */
 struct Dispatch
@@ -85,9 +75,6 @@ class Executor
 {
   public:
     enum class Mode { Full, Fast };
-
-    /** Threads ganged into one lockstep SoA context. */
-    static constexpr int gangSize = 8;
 
     Executor(const DeviceConfig &config, DeviceMemory &memory);
     ~Executor();
@@ -127,14 +114,6 @@ class Executor
      * default (MemTraceSink::defaultChunk) suits production use.
      */
     void setMemTraceChunk(size_t records) { memTraceChunk = records; }
-
-    /**
-     * Diagnostic: did the most recent run() drive threads through the
-     * gang path (as opposed to scalar execution or representative/
-     * sampled Fast mode)? Lets tests assert that gang coverage is
-     * real rather than silently falling back.
-     */
-    bool lastRunGanged() const { return lastGanged; }
 
     /**
      * Record the basic-block sequence executed by one thread of
@@ -184,7 +163,6 @@ class Executor
 
   private:
     struct ThreadCtx;
-    struct GangCtx;
 
     /** Per-binary execution plan (shared across drivers; see
      * gpu/plan_cache.hh). */
@@ -216,49 +194,10 @@ class Executor
                          std::vector<uint32_t> *block_trace = nullptr,
                          uint64_t trace_max_len = 0);
 
-    /**
-     * Threaded superblock walk starting at superblock @p cur, with
-     * @p ctx / @p st already wired. Shared by
-     * runThreadUops (whole threads) and runGang (scalar continuation
-     * of a slot retired from its gang on divergence).
-     * @return final issue-cycle count of the thread.
-     */
-    double uopRun(const Dispatch &dispatch, uint64_t thread_idx,
-                  bool fast, const Plan &plan, ThreadCtx &ctx,
-                  UopSt &st, uint32_t cur,
-                  std::vector<uint64_t> &sb_counts,
-                  std::vector<uint32_t> &dirty_counts);
-
-    /**
-     * @return whether @p dispatch's concrete argument values satisfy
-     * the plan's gang-safety verdict (region form proven, SIMD width
-     * acceptable, no address wrap, dispatch-time region checks
-     * disjoint).
-     */
-    bool gangDispatchSafe(const Dispatch &dispatch, const Plan &p) const;
-
-    /**
-     * Run @p count consecutive threads (first_thread ...) through the
-     * uop stream in SoA lockstep, retiring divergent slots onto the
-     * scalar path. Accumulates into the same scratch counters as the
-     * scalar runners; per-slot memory-trace records are drained into
-     * @p mem_sink in thread order afterwards so the record stream is
-     * bitwise identical to scalar execution. @p slot_cycles receives
-     * each slot's final issue-cycle count.
-     */
-    void runGang(const Dispatch &dispatch, uint64_t first_thread,
-                 int count, const Plan &plan,
-                 std::vector<uint64_t> &sb_counts,
-                 std::vector<uint32_t> &dirty_counts,
-                 std::vector<uint64_t> &trace_deltas,
-                 std::vector<uint32_t> &dirty_deltas,
-                 MemTraceSink *mem_sink, double *slot_cycles);
-
     const DeviceConfig config;
     DeviceMemory &memory;
     uint64_t threadInstrLimit = 200'000'000;
     uint64_t maxExplicitThreads = 1024;
-    bool lastGanged = false;
     std::unordered_map<const isa::KernelBinary *, LocalPlan> plans;
     SharedPlanCache *sharedPlans = nullptr;
 
@@ -266,11 +205,10 @@ class Executor
      * the per-thread count/delta accumulators, hoisted out of the
      * per-simulated-thread loop. */
     std::unique_ptr<ThreadCtx> ctxBuf;
-    std::unique_ptr<GangCtx> gangBuf;
     std::vector<uint64_t> scratchCounts;
     std::vector<uint64_t> scratchDeltas;
     /** Indices of scratchCounts / scratchDeltas entries touched by the
-     * current thread (or gang), so the per-thread flush and clear are
+     * current thread, so the per-thread flush and clear are
      * proportional to blocks entered rather than kernel size. */
     std::vector<uint32_t> dirtyCounts;
     std::vector<uint32_t> dirtyDeltas;

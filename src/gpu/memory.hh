@@ -81,14 +81,6 @@ class DeviceMemory
         std::memcpy(bytes.get() + addr, &value, 4);
     }
 
-    /**
-     * Raw storage access for bulk fast paths that hoist one bounds
-     * check over a whole batch (the gang executor's send loops);
-     * callers are responsible for staying within size().
-     */
-    uint8_t *data() { return bytes.get(); }
-    const uint8_t *data() const { return bytes.get(); }
-
     /** Bulk host<->device transfer helpers. */
     void copyIn(uint64_t addr, const void *src, uint64_t size);
     void copyOut(uint64_t addr, void *dst, uint64_t size) const;

@@ -4,12 +4,11 @@
  *
  * Every GpuDriver owns an Executor, and every Executor derives the
  * same expensive per-binary artifacts before it can run a kernel:
- * the relevance slice, the predecoded uop program, per-block issue
- * cycles, and the gang-safety verdict — collectively an ExecPlan.
- * Within one driver those are memoized per binary address; across
- * drivers (the profiling service runs one driver per tenant) the
- * memoization restarts from zero even though tenants overwhelmingly
- * submit the same kernels.
+ * the relevance slice, the predecoded uop program and per-block issue
+ * cycles — collectively an ExecPlan. Within one driver those are
+ * memoized per binary address; across drivers (the profiling service
+ * runs one driver per tenant) the memoization restarts from zero even
+ * though tenants overwhelmingly submit the same kernels.
  *
  * The cache here closes that gap. It keys on isa::contentHash — the
  * semantic identity of a binary, independent of which driver JIT-
@@ -49,10 +48,10 @@ namespace gt::gpu
 
 /**
  * Everything an executor derives from one kernel binary before
- * running it: the uop lowering, the relevance slice, issue-cycle
- * tables, and the gang verdict. Immutable once built (the executor
- * builds it fully, then publishes). Shape fields double as a
- * belt-and-braces check against content-hash collisions.
+ * running it: the uop lowering, the relevance slice and the
+ * issue-cycle tables. Immutable once built (the executor builds it
+ * fully, then publishes). Shape fields double as a belt-and-braces
+ * check against content-hash collisions.
  */
 struct ExecPlan
 {
@@ -76,8 +75,6 @@ struct ExecPlan
     /** Kernel touches shared-local memory, so reset must clear
      * the 16 KB local block; provably untouched => skipped. */
     bool usesLocal = false;
-    /** Gang-safety verdict (see isa/slice.hh). */
-    isa::GangSafety gang;
 
     /** @return whether this plan matches @p bin's shape. */
     bool

@@ -3,9 +3,9 @@
  * Per-lane float semantics of the device ISA.
  *
  * Every float operation an interpreter evaluates goes through one of
- * these helpers on raw 32-bit register bits. The executor's scalar
- * and gang handlers and the reference interpreter (tests/reference)
- * all call the same functions, so the compiler makes identical
+ * these helpers on raw 32-bit register bits. The executor's uop
+ * handlers and the reference interpreter (tests/reference) both call
+ * the same functions, so the compiler makes identical
  * instruction-selection choices (fused multiply-add contraction in
  * particular) and results stay bitwise equal across them.
  */

@@ -1,13 +1,6 @@
 #include "isa/slice.hh"
 
-#include <algorithm>
-#include <bit>
 #include <deque>
-#include <map>
-#include <optional>
-#include <set>
-#include <string>
-#include <tuple>
 
 namespace gt::isa
 {
@@ -128,941 +121,6 @@ analyzeRelevance(const KernelBinary &bin)
         }
     }
     return result;
-}
-
-namespace
-{
-
-/**
- * Symbolic evaluation domain for the gang-safety proof.
- *
- * Register values are tracked as affine expressions (32-bit wrapping
- * constant plus coefficient-weighted atoms) over a hash-consed atom
- * arena. Atoms stand for the values the affine algebra cannot fold:
- * the lane's global id, the thread index, dispatch arguments, masked
- * sub-expressions ((x & 2^k-1), the addressing idiom), loads, opaque
- * per-site unknowns, and phi values at control-flow merges. Because a
- * width-1 instruction writes lane 0 only while wider readers still
- * consume lanes 1+, every register and flag carries two expressions:
- * one for lane 0 ("lo") and one for lanes 1..hiWidth-1 ("hi").
- *
- * Atom identity is only meaningful within a single dynamic evaluation
- * instance (one thread, one lane, one visit of a send): two
- * occurrences of the same atom id denote the same runtime value only
- * when no merge point sits between their definitions, which the phi
- * discipline guarantees — any value that survives a join is renamed
- * to the join's phi atom, so stale sharing is impossible.
- */
-struct GangArena
-{
-    enum AtomKind : uint8_t
-    {
-        AGid,     //!< this lane's global id (r0)
-        AThread,  //!< the thread index (r1 lane 0)
-        AArg,     //!< dispatch argument a (uniform per dispatch)
-        APhi,     //!< merge value, keyed (block, state slot, class)
-        AOpaque,  //!< per-site unknown (stale lanes, Dp4, r1 hi)
-        AOp,      //!< pure per-lane op over child expressions
-        AMask,    //!< inner expression masked to k low bits
-        ALoad,    //!< load result, keyed (site, address expression)
-    };
-
-    struct Atom
-    {
-        uint8_t kind = 0;
-        uint32_t a = 0;              //!< kind-specific key field
-        uint32_t b = 0;              //!< kind-specific key field
-        uint32_t c = 0;              //!< kind-specific key field
-        std::vector<uint32_t> kids;  //!< child expression ids
-    };
-
-    /** Affine expression: c + sum(coeff * atom), arithmetic mod 2^32. */
-    struct Expr
-    {
-        uint32_t c = 0;
-        std::vector<std::pair<uint32_t, uint32_t>> t;  //!< (atom, coeff)
-    };
-
-    std::vector<Atom> atoms;
-    std::vector<Expr> exprs;
-    std::map<std::tuple<uint8_t, uint32_t, uint32_t, uint32_t,
-                        std::vector<uint32_t>>,
-             uint32_t>
-        atomIds;
-    std::map<std::pair<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>>,
-             uint32_t>
-        exprIds;
-
-    uint32_t
-    atom(uint8_t kind, uint32_t a = 0, uint32_t b = 0, uint32_t c = 0,
-         std::vector<uint32_t> kids = {})
-    {
-        auto key = std::make_tuple(kind, a, b, c, kids);
-        auto it = atomIds.find(key);
-        if (it != atomIds.end())
-            return it->second;
-        uint32_t id = (uint32_t)atoms.size();
-        atoms.push_back({kind, a, b, c, std::move(kids)});
-        atomIds.emplace(std::move(key), id);
-        return id;
-    }
-
-    uint32_t
-    intern(uint32_t c, std::vector<std::pair<uint32_t, uint32_t>> t)
-    {
-        auto key = std::make_pair(c, t);
-        auto it = exprIds.find(key);
-        if (it != exprIds.end())
-            return it->second;
-        uint32_t id = (uint32_t)exprs.size();
-        exprs.push_back({c, std::move(t)});
-        exprIds.emplace(std::move(key), id);
-        return id;
-    }
-
-    uint32_t eConst(uint32_t c) { return intern(c, {}); }
-    uint32_t eAtom(uint32_t id) { return intern(0, {{id, 1u}}); }
-    bool isConst(uint32_t e) const { return exprs[e].t.empty(); }
-
-    uint32_t
-    eAdd(uint32_t x, uint32_t y)
-    {
-        const Expr &a = exprs[x], &b = exprs[y];
-        std::vector<std::pair<uint32_t, uint32_t>> t;
-        size_t i = 0, j = 0;
-        while (i < a.t.size() || j < b.t.size()) {
-            if (j == b.t.size() ||
-                (i < a.t.size() && a.t[i].first < b.t[j].first)) {
-                t.push_back(a.t[i++]);
-            } else if (i == a.t.size() || b.t[j].first < a.t[i].first) {
-                t.push_back(b.t[j++]);
-            } else {
-                uint32_t c = a.t[i].second + b.t[j].second;
-                if (c != 0)
-                    t.push_back({a.t[i].first, c});
-                ++i;
-                ++j;
-            }
-        }
-        return intern(a.c + b.c, std::move(t));
-    }
-
-    uint32_t
-    eMul(uint32_t x, uint32_t k)
-    {
-        if (k == 0)
-            return eConst(0);
-        const Expr &a = exprs[x];
-        std::vector<std::pair<uint32_t, uint32_t>> t;
-        for (auto [id, c] : a.t) {
-            uint32_t nc = c * k;
-            if (nc != 0)
-                t.push_back({id, nc});
-        }
-        return intern(a.c * k, std::move(t));
-    }
-
-    uint32_t eSub(uint32_t x, uint32_t y) { return eAdd(x, eMul(y, ~0u)); }
-};
-
-/** Per-register (or flag) symbolic state, split by lane class. */
-struct LaneVal
-{
-    uint32_t lo = 0;      //!< lane 0 expression
-    uint32_t hi = 0;      //!< lanes 1..hiWidth-1 expression
-    uint8_t hiWidth = 0;  //!< lanes >= hiWidth hold stale values
-};
-
-/** One global send occurrence with its captured symbolic operands. */
-struct SendSite
-{
-    uint32_t block = 0;
-    uint32_t instr = 0;
-    uint8_t width = 1;
-    bool isWrite = false;
-    int64_t footprint = 4;
-    uint32_t addrLo = 0;
-    uint32_t addrHi = 0;
-    uint32_t valLo = 0;  //!< store payload (stores only)
-    uint32_t valHi = 0;
-    // Filled by normalization:
-    uint32_t baseArg = 0;
-    bool hasMask = false;
-    uint32_t maskK = 0;
-    uint32_t shift = 0;
-    int64_t c0 = 0;
-    uint32_t xLo = 0;  //!< masked index expression, lane 0
-    uint32_t xHi = 0;  //!< masked index expression, lanes 1+
-};
-
-class GangAnalyzer
-{
-  public:
-    explicit GangAnalyzer(const KernelBinary &b) : bin(b) {}
-
-    GangSafety
-    run()
-    {
-        GangSafety out;
-        buildEdges();
-        if (!solve())
-            return out;  // runaway guard tripped; never gang
-        collectSites();
-        if (!normalizeSites())
-            return out;
-        proveGroups(out);
-        return out;
-    }
-
-  private:
-    // Largest |global-id delta| between two lanes of one gang:
-    // 7 slots * 16 lanes + 15 with the widest legal shapes.
-    static constexpr uint32_t maxGangDelta = 127;
-
-    const KernelBinary &bin;
-    GangArena gs;
-    using State = std::vector<LaneVal>;  //!< 128 regs then 4 flags
-    static constexpr size_t flagBase = (size_t)numRegisters;
-
-    std::vector<std::vector<uint32_t>> succs;
-    std::vector<State> entry;
-    std::vector<bool> reached;
-    std::vector<SendSite> sites;
-
-    uint32_t
-    opaque(uint32_t block, uint32_t instr, uint32_t tag)
-    {
-        return gs.eAtom(gs.atom(GangArena::AOpaque, block, instr, tag));
-    }
-
-    State
-    initialState()
-    {
-        State st(flagBase + numFlags);
-        uint32_t zero = gs.eConst(0);
-        for (auto &v : st)
-            v = {zero, zero, (uint8_t)maxSimdWidth};
-        uint32_t gid = gs.eAtom(gs.atom(GangArena::AGid));
-        st[0] = {gid, gid, (uint8_t)maxSimdWidth};
-        uint32_t thr = gs.eAtom(gs.atom(GangArena::AThread));
-        st[1] = {thr, opaque(~0u, 0, 0), (uint8_t)maxSimdWidth};
-        for (uint32_t a = 0; a < bin.numArgs; ++a) {
-            uint32_t e = gs.eAtom(gs.atom(GangArena::AArg, a));
-            st[2 + a] = {e, e, (uint8_t)maxSimdWidth};
-        }
-        return st;
-    }
-
-    void
-    buildEdges()
-    {
-        size_t n = bin.blocks.size();
-        succs.assign(n, {});
-        std::vector<uint32_t> callBlocks, retBlocks;
-        for (const auto &block : bin.blocks) {
-            for (const Instruction &ins : block.instrs) {
-                if (ins.op == Opcode::Halt)
-                    break;
-                switch (ins.op) {
-                  case Opcode::Jmpi:
-                  case Opcode::Brc:
-                  case Opcode::Brnc:
-                  case Opcode::Call:
-                    if (ins.target >= 0 && (size_t)ins.target < n)
-                        succs[block.id].push_back((uint32_t)ins.target);
-                    if (ins.op == Opcode::Call)
-                        callBlocks.push_back(block.id);
-                    break;
-                  case Opcode::Ret:
-                    retBlocks.push_back(block.id);
-                    break;
-                  default:
-                    break;
-                }
-            }
-            // Always add the fall-through edge: over-approximating the
-            // CFG only adds phi merges, which is conservative.
-            if (block.id + 1 < n)
-                succs[block.id].push_back(block.id + 1);
-        }
-        for (uint32_t r : retBlocks) {
-            for (uint32_t c : callBlocks) {
-                if ((size_t)c + 1 < n)
-                    succs[r].push_back(c + 1);
-            }
-        }
-    }
-
-    uint32_t
-    readOperand(const State &st, const Operand &o, int cls, uint8_t w,
-                uint32_t block, uint32_t instr, uint32_t slot)
-    {
-        if (o.isImm())
-            return gs.eConst(o.imm);
-        if (!o.isReg() || o.reg >= numRegisters)
-            return opaque(block, instr, 8 + slot);
-        const LaneVal &v = st[o.reg];
-        if (cls == 0)
-            return v.lo;
-        if (w <= v.hiWidth)
-            return v.hi;
-        // Reading wider than the last write: lanes past hiWidth hold
-        // stale values we no longer track.
-        return opaque(block, instr, slot);
-    }
-
-    uint32_t
-    readReg(const State &st, uint16_t r, int cls, uint8_t w, uint32_t block,
-            uint32_t instr, uint32_t slot)
-    {
-        Operand o = Operand::fromReg(r);
-        return readOperand(st, o, cls, w, block, instr, slot);
-    }
-
-    /** Build the result expression of one per-lane ALU op. */
-    uint32_t
-    evalOp(const Instruction &ins, uint32_t s0, uint32_t s1, uint32_t s2,
-           uint32_t flagE, uint32_t block, uint32_t instr)
-    {
-        auto opAtom = [&](std::vector<uint32_t> kids) {
-            uint32_t id = (uint32_t)ins.op | ((uint32_t)ins.cmpOp << 8);
-            return gs.eAtom(gs.atom(GangArena::AOp, id, 0, 0, std::move(kids)));
-        };
-        switch (ins.op) {
-          case Opcode::Mov:
-            return s0;
-          case Opcode::Add:
-            return gs.eAdd(s0, s1);
-          case Opcode::Sub:
-            return gs.eSub(s0, s1);
-          case Opcode::Mul:
-            if (gs.isConst(s0))
-                return gs.eMul(s1, gs.exprs[s0].c);
-            if (gs.isConst(s1))
-                return gs.eMul(s0, gs.exprs[s1].c);
-            return opAtom({s0, s1});
-          case Opcode::Mad:
-            if (gs.isConst(s0))
-                return gs.eAdd(gs.eMul(s1, gs.exprs[s0].c), s2);
-            if (gs.isConst(s1))
-                return gs.eAdd(gs.eMul(s0, gs.exprs[s1].c), s2);
-            return opAtom({s0, s1, s2});
-          case Opcode::Shl:
-            if (gs.isConst(s1))
-                return gs.eMul(s0, 1u << (gs.exprs[s1].c & 31));
-            return opAtom({s0, s1});
-          case Opcode::And:
-            for (int swap = 0; swap < 2; ++swap) {
-                uint32_t m = swap ? s0 : s1, x = swap ? s1 : s0;
-                if (!gs.isConst(m))
-                    continue;
-                uint32_t mc = gs.exprs[m].c;
-                if (mc == 0)
-                    return gs.eConst(0);
-                if (mc == ~0u)
-                    return x;
-                if ((mc & (mc + 1)) != 0)
-                    break;  // not 2^k - 1
-                uint32_t k = (uint32_t)std::popcount(mc);
-                if (gs.isConst(x))
-                    return gs.eConst(gs.exprs[x].c & mc);
-                return gs.eAtom(gs.atom(GangArena::AMask, k, 0, 0, {x}));
-            }
-            return opAtom({s0, s1});
-          case Opcode::Sel:
-            return opAtom({flagE, s0, s1});
-          case Opcode::Cmp:
-            return opAtom({s0, s1});
-          case Opcode::Dp4:
-            // Cross-lane: the result mixes other lanes' values.
-            return opaque(block, instr, 16);
-          default:
-            break;
-        }
-        // Remaining pure per-lane ops (logic, float math, min/max/avg,
-        // lrp, pln, frc, ...): opaque function of the operands.
-        std::vector<uint32_t> kids;
-        if (!ins.src0.isNone())
-            kids.push_back(s0);
-        if (!ins.src1.isNone())
-            kids.push_back(s1);
-        if (!ins.src2.isNone())
-            kids.push_back(s2);
-        return opAtom(std::move(kids));
-    }
-
-    /** Apply one instruction to @p st; record send sites when asked. */
-    void
-    step(State &st, uint32_t blockId, uint32_t i, const Instruction &ins,
-         bool record)
-    {
-        if (ins.cls() == OpClass::Control ||
-            ins.cls() == OpClass::Instrumentation) {
-            return;
-        }
-        uint8_t w = ins.simdWidth;
-        if (ins.op == Opcode::Send) {
-            uint32_t aLo = readReg(st, ins.send.addrReg, 0, w, blockId, i, 3);
-            uint32_t aHi = readReg(st, ins.send.addrReg, 1, w, blockId, i, 3);
-            uint32_t off = gs.eConst((uint32_t)ins.send.offset);
-            aLo = gs.eAdd(aLo, off);
-            aHi = gs.eAdd(aHi, off);
-            if (ins.send.isWrite) {
-                if (record && ins.send.space == AddrSpace::Global) {
-                    SendSite s;
-                    s.block = blockId;
-                    s.instr = i;
-                    s.width = w;
-                    s.isWrite = true;
-                    int64_t b = ins.send.bytesPerLane;
-                    s.footprint = std::max<int64_t>(4, (b + 3) / 4 * 4);
-                    s.addrLo = aLo;
-                    s.addrHi = aHi;
-                    s.valLo = readOperand(st, ins.src0, 0, w, blockId, i, 0);
-                    s.valHi = readOperand(st, ins.src0, 1, w, blockId, i, 0);
-                    sites.push_back(s);
-                }
-                return;
-            }
-            // Load: destination becomes a load atom keyed by the site
-            // and its (per-class) address expression.
-            uint32_t space = ins.send.space == AddrSpace::Local ? 1 : 0;
-            uint32_t lo = gs.eAtom(
-                gs.atom(GangArena::ALoad, blockId, i, space, {aLo}));
-            uint32_t hi = gs.eAtom(
-                gs.atom(GangArena::ALoad, blockId, i, space, {aHi}));
-            if (record && ins.send.space == AddrSpace::Global) {
-                SendSite s;
-                s.block = blockId;
-                s.instr = i;
-                s.width = w;
-                s.isWrite = false;
-                s.footprint = 4;  // loads perform one 32-bit read
-                s.addrLo = aLo;
-                s.addrHi = aHi;
-                sites.push_back(s);
-            }
-            writeReg(st, ins.dst, w, lo, hi);
-            return;
-        }
-        if (!ins.writesReg() && !ins.writesFlag())
-            return;
-        uint32_t outLo, outHi = 0;
-        {
-            uint32_t s0 = readOperand(st, ins.src0, 0, w, blockId, i, 0);
-            uint32_t s1 = readOperand(st, ins.src1, 0, w, blockId, i, 1);
-            uint32_t s2 = readOperand(st, ins.src2, 0, w, blockId, i, 2);
-            uint32_t f = st[flagBase + (ins.flag & 3)].lo;
-            outLo = evalOp(ins, s0, s1, s2, f, blockId, i);
-        }
-        if (w > 1) {
-            uint32_t s0 = readOperand(st, ins.src0, 1, w, blockId, i, 0);
-            uint32_t s1 = readOperand(st, ins.src1, 1, w, blockId, i, 1);
-            uint32_t s2 = readOperand(st, ins.src2, 1, w, blockId, i, 2);
-            const LaneVal &fv = st[flagBase + (ins.flag & 3)];
-            uint32_t f = w <= fv.hiWidth ? fv.hi : opaque(blockId, i, 24);
-            outHi = evalOp(ins, s0, s1, s2, f, blockId, i);
-        }
-        if (ins.writesFlag())
-            writeSlot(st, flagBase + (ins.flag & 3), w, outLo, outHi);
-        else
-            writeReg(st, ins.dst, w, outLo, outHi);
-    }
-
-    void
-    writeReg(State &st, uint16_t dst, uint8_t w, uint32_t lo, uint32_t hi)
-    {
-        if (dst >= numRegisters)
-            return;
-        writeSlot(st, dst, w, lo, hi);
-    }
-
-    void
-    writeSlot(State &st, size_t slot, uint8_t w, uint32_t lo, uint32_t hi)
-    {
-        if (w == 1) {
-            st[slot].lo = lo;  // lanes 1+ keep their previous value
-            return;
-        }
-        st[slot] = {lo, hi, w};
-    }
-
-    bool
-    meetInto(State &dst, const State &src, uint32_t blockId)
-    {
-        bool changed = false;
-        for (size_t s = 0; s < dst.size(); ++s) {
-            for (int cls = 0; cls < 2; ++cls) {
-                uint32_t &d = cls ? dst[s].hi : dst[s].lo;
-                uint32_t v = cls ? src[s].hi : src[s].lo;
-                if (d == v)
-                    continue;
-                uint32_t phi = gs.eAtom(gs.atom(GangArena::APhi, blockId,
-                                                (uint32_t)s, (uint32_t)cls));
-                if (d != phi) {
-                    d = phi;
-                    changed = true;
-                }
-            }
-            uint8_t m = std::min(dst[s].hiWidth, src[s].hiWidth);
-            if (dst[s].hiWidth != m) {
-                dst[s].hiWidth = m;
-                changed = true;
-            }
-        }
-        return changed;
-    }
-
-    bool
-    solve()
-    {
-        size_t n = bin.blocks.size();
-        entry.assign(n, {});
-        reached.assign(n, false);
-        if (n == 0)
-            return true;
-        entry[0] = initialState();
-        reached[0] = true;
-        std::deque<uint32_t> work{0};
-        std::vector<bool> queued(n, false);
-        queued[0] = true;
-        uint64_t steps = 0;
-        while (!work.empty()) {
-            if (++steps > 64 * n + 4096)
-                return false;  // safety net; should be unreachable
-            uint32_t b = work.front();
-            work.pop_front();
-            queued[b] = false;
-            State st = entry[b];
-            const auto &instrs = bin.blocks[b].instrs;
-            for (uint32_t i = 0; i < instrs.size(); ++i) {
-                if (instrs[i].op == Opcode::Halt)
-                    break;
-                step(st, b, i, instrs[i], false);
-            }
-            for (uint32_t s : succs[b]) {
-                bool changed;
-                if (!reached[s]) {
-                    entry[s] = st;
-                    reached[s] = true;
-                    changed = true;
-                } else {
-                    changed = meetInto(entry[s], st, s);
-                }
-                if (changed && !queued[s]) {
-                    queued[s] = true;
-                    work.push_back(s);
-                }
-            }
-        }
-        return true;
-    }
-
-    void
-    collectSites()
-    {
-        for (uint32_t b = 0; b < (uint32_t)bin.blocks.size(); ++b) {
-            if (!reached[b])
-                continue;
-            State st = entry[b];
-            const auto &instrs = bin.blocks[b].instrs;
-            for (uint32_t i = 0; i < instrs.size(); ++i) {
-                if (instrs[i].op == Opcode::Halt)
-                    break;
-                step(st, b, i, instrs[i], true);
-            }
-        }
-    }
-
-    /**
-     * Normalize a send address into base-argument region form:
-     * args[baseArg] + (x & 2^k-1) * 2^shift + c0. Returns false if any
-     * global send has a shape the interval/collision reasoning cannot
-     * cover.
-     */
-    bool
-    normalizeSites()
-    {
-        for (SendSite &s : sites) {
-            struct Parsed
-            {
-                bool argSeen = false;
-                uint32_t baseArg = 0;
-                bool maskSeen = false;
-                uint32_t k = 0, shift = 0, x = 0;
-                int64_t c0 = 0;
-                bool ok = true;
-            };
-            auto parse = [&](uint32_t e) {
-                Parsed p;
-                const GangArena::Expr &ex = gs.exprs[e];
-                p.c0 = (int64_t)(int32_t)ex.c;
-                for (auto [id, coeff] : ex.t) {
-                    const GangArena::Atom &at = gs.atoms[id];
-                    if (at.kind == GangArena::AArg && coeff == 1 &&
-                        !p.argSeen) {
-                        p.argSeen = true;
-                        p.baseArg = at.a;
-                    } else if (at.kind == GangArena::AMask && !p.maskSeen &&
-                               std::popcount(coeff) == 1) {
-                        p.maskSeen = true;
-                        p.k = at.a;
-                        p.shift = (uint32_t)std::countr_zero(coeff);
-                        p.x = at.kids[0];
-                    } else {
-                        p.ok = false;
-                    }
-                }
-                return p;
-            };
-            Parsed lo = parse(s.addrLo);
-            if (!lo.ok || !lo.argSeen)
-                return false;
-            s.baseArg = lo.baseArg;
-            s.hasMask = lo.maskSeen;
-            s.maskK = lo.k;
-            s.shift = lo.shift;
-            s.c0 = lo.c0;
-            s.xLo = lo.x;
-            s.xHi = lo.x;
-            if (s.width > 1) {
-                Parsed hi = parse(s.addrHi);
-                if (!hi.ok || !hi.argSeen || hi.baseArg != lo.baseArg ||
-                    hi.maskSeen != lo.maskSeen || hi.k != lo.k ||
-                    hi.shift != lo.shift || hi.c0 != lo.c0) {
-                    return false;
-                }
-                s.xHi = hi.x;
-            }
-        }
-        return true;
-    }
-
-    /** Affine decomposition over {gid, args} for the no-collision route. */
-    struct GidAffine
-    {
-        bool ok = false;
-        uint32_t gid = 0;
-        std::map<uint32_t, uint32_t> args;
-        uint32_t c = 0;
-    };
-
-    GidAffine
-    decomposeGidArgs(uint32_t e)
-    {
-        GidAffine r;
-        const GangArena::Expr &ex = gs.exprs[e];
-        r.c = ex.c;
-        for (auto [id, coeff] : ex.t) {
-            const GangArena::Atom &at = gs.atoms[id];
-            if (at.kind == GangArena::AGid) {
-                r.gid = coeff;
-            } else if (at.kind == GangArena::AArg) {
-                r.args[at.a] = coeff;
-            } else {
-                return r;  // ok stays false
-            }
-        }
-        r.ok = true;
-        return r;
-    }
-
-    /**
-     * Route "no-collision": true when no two distinct lanes of one
-     * gang can produce equal masked indices at sites @p s and @p t.
-     */
-    bool
-    noCollision(const SendSite &s, const SendSite &t, uint8_t &minSimd)
-    {
-        if (!s.hasMask)
-            return false;
-        int64_t stride = (int64_t)1 << s.shift;
-        if (s.footprint > stride || t.footprint > stride)
-            return false;
-        uint32_t kmask = s.maskK >= 32 ? ~0u : ((1u << s.maskK) - 1);
-        uint32_t xs[2] = {s.xLo, s.xHi};
-        uint32_t xt[2] = {t.xLo, t.xHi};
-        int nu = s.width > 1 ? 2 : 1;
-        int nv = t.width > 1 ? 2 : 1;
-        bool usedGid = false;
-        for (int u = 0; u < nu; ++u) {
-            GidAffine au = decomposeGidArgs(xs[u]);
-            if (!au.ok)
-                return false;
-            for (int v = 0; v < nv; ++v) {
-                GidAffine av = decomposeGidArgs(xt[v]);
-                if (!av.ok)
-                    return false;
-                if (au.gid != av.gid || au.args != av.args)
-                    return false;
-                uint32_t a = au.gid;
-                uint32_t dc = au.c - av.c;
-                if (a == 0) {
-                    // Gid-independent: every lane computes the same
-                    // index; only a constant skew can separate them.
-                    if ((dc & kmask) == 0)
-                        return false;
-                    continue;
-                }
-                usedGid = true;
-                for (uint32_t d = 1; d <= maxGangDelta; ++d) {
-                    if (((a * d + dc) & kmask) == 0)
-                        return false;
-                    if (((dc - a * d) & kmask) == 0)
-                        return false;
-                }
-            }
-        }
-        if (usedGid) {
-            // Lanes of different slots share global ids when the send
-            // width exceeds the dispatch SIMD width, voiding the
-            // delta scan; record the width the proof needs.
-            minSimd = std::max({minSimd, s.width, t.width});
-        }
-        return true;
-    }
-
-    /**
-     * Canonical signature of @p e as a pure function of the store's
-     * masked index ("rho"), dispatch arguments, and initial memory.
-     * Fails (nullopt) if the value depends on anything else.
-     *
-     * Signatures are hash-consed ids: a node's string embeds its
-     * children's ids, not their expansions, so shared sub-DAGs cost
-     * O(1) and deeply reconvergent values (hash/aes mixing rounds)
-     * stay linear. Interning is injective, so id equality is
-     * signature equality.
-     */
-    std::map<std::string, uint32_t> sigIds;
-    std::map<std::tuple<uint32_t, uint32_t, uint32_t>,
-             std::optional<uint32_t>>
-        sigCache;
-
-    uint32_t
-    sigId(std::string s)
-    {
-        auto [it, fresh] = sigIds.emplace(std::move(s),
-                                          (uint32_t)sigIds.size());
-        (void)fresh;
-        return it->second;
-    }
-
-    std::optional<uint32_t>
-    valueSig(uint32_t e, uint32_t xCtx, uint32_t kCtx)
-    {
-        auto key = std::make_tuple(e | 0x80000000u, xCtx, kCtx);
-        auto hit = sigCache.find(key);
-        if (hit != sigCache.end())
-            return hit->second;
-        std::optional<uint32_t> res;
-        const GangArena::Expr &ex = gs.exprs[e];
-        std::string out = "(" + std::to_string(ex.c);
-        bool ok = true;
-        for (auto [id, coeff] : ex.t) {
-            auto sub = atomSig(id, xCtx, kCtx);
-            if (!sub) {
-                ok = false;
-                break;
-            }
-            out += "+" + std::to_string(coeff) + "*#" + std::to_string(*sub);
-        }
-        if (ok)
-            res = sigId(out + ")");
-        sigCache.emplace(key, res);
-        return res;
-    }
-
-    std::optional<uint32_t>
-    atomSig(uint32_t id, uint32_t xCtx, uint32_t kCtx)
-    {
-        auto key = std::make_tuple(id, xCtx, kCtx);
-        auto hit = sigCache.find(key);
-        if (hit != sigCache.end())
-            return hit->second;
-        std::optional<uint32_t> res = atomSigUncached(id, xCtx, kCtx);
-        sigCache.emplace(key, res);
-        return res;
-    }
-
-    std::optional<uint32_t>
-    atomSigUncached(uint32_t id, uint32_t xCtx, uint32_t kCtx)
-    {
-        const GangArena::Atom &at = gs.atoms[id];
-        switch (at.kind) {
-          case GangArena::AArg:
-            return sigId("a" + std::to_string(at.a));
-          case GangArena::AOp: {
-            std::string out = "o" + std::to_string(at.a) + "(";
-            for (uint32_t kid : at.kids) {
-                auto sub = valueSig(kid, xCtx, kCtx);
-                if (!sub)
-                    return std::nullopt;
-                out += "#" + std::to_string(*sub) + ",";
-            }
-            return sigId(out + ")");
-          }
-          case GangArena::AMask: {
-            if (auto inner = valueSig(at.kids[0], xCtx, kCtx)) {
-                return sigId("m" + std::to_string(at.a) + "[#" +
-                             std::to_string(*inner) + "]");
-            }
-            if (at.a <= kCtx) {
-                // (x & 2^j-1) with j <= k is (rho + (x - xCtx)) mod 2^j
-                // whenever the difference is itself determined.
-                uint32_t diff = gs.eSub(at.kids[0], xCtx);
-                if (auto d = valueSig(diff, xCtx, kCtx)) {
-                    return sigId("r" + std::to_string(at.a) + "[#" +
-                                 std::to_string(*d) + "]");
-                }
-            }
-            return std::nullopt;
-          }
-          case GangArena::ALoad: {
-            if (at.c != 0)
-                return std::nullopt;  // local memory: mutable scratch
-            auto addr = valueSig(at.kids[0], xCtx, kCtx);
-            if (!addr)
-                return std::nullopt;
-            // Sound because every global load region is either
-            // statically or dispatch-check disjoint from every store
-            // region by the time a gang runs: the load observes
-            // initial memory, a pure function of its address.
-            return sigId("L[#" + std::to_string(*addr) + "]");
-          }
-          default:
-            return std::nullopt;  // gid, thread, phi, opaque
-        }
-    }
-
-    void
-    proveGroups(GangSafety &out)
-    {
-        struct Group
-        {
-            std::vector<uint32_t> members;
-            int64_t lo = 0, hi = 0;
-            uint32_t baseArg = 0;
-            bool hasStore = false, hasLoad = false;
-        };
-        std::map<std::tuple<uint32_t, bool, uint32_t, uint32_t, int64_t>,
-                 uint32_t>
-            keys;
-        std::vector<Group> groups;
-        for (uint32_t i = 0; i < (uint32_t)sites.size(); ++i) {
-            const SendSite &s = sites[i];
-            auto key = std::make_tuple(s.baseArg, s.hasMask, s.maskK, s.shift,
-                                       s.c0);
-            auto [it, fresh] = keys.emplace(key, (uint32_t)groups.size());
-            if (fresh) {
-                Group g;
-                g.baseArg = s.baseArg;
-                g.lo = s.c0;
-                g.hi = s.c0 +
-                       (s.hasMask
-                            ? ((((int64_t)1 << s.maskK) - 1) << s.shift)
-                            : 0);
-                groups.push_back(g);
-            }
-            Group &g = groups[it->second];
-            g.members.push_back(i);
-            g.hi = std::max(g.hi,
-                            s.c0 +
-                                (s.hasMask ? ((((int64_t)1 << s.maskK) - 1)
-                                              << s.shift)
-                                           : 0) +
-                                s.footprint);
-            g.hasStore |= s.isWrite;
-            g.hasLoad |= !s.isWrite;
-        }
-
-        uint8_t minSimd = 0;
-        uint32_t proven = 0, checked = 0;
-
-        // Group-level equal-value route: every store in the group
-        // provably writes a value that is the same pure function of
-        // the masked index at every site and lane class.
-        auto equalValueGroup = [&](const Group &g) {
-            if (g.hasLoad || !g.hasStore)
-                return false;
-            std::optional<uint32_t> sig;
-            for (uint32_t m : g.members) {
-                const SendSite &s = sites[m];
-                if (s.hasMask && s.footprint > ((int64_t)1 << s.shift))
-                    return false;
-                if (!s.hasMask && s.footprint > 4)
-                    return false;
-                uint32_t k = s.hasMask ? s.maskK : 0;
-                uint32_t xs[2] = {s.xLo, s.xHi};
-                uint32_t vs[2] = {s.valLo, s.valHi};
-                int nc = s.width > 1 ? 2 : 1;
-                for (int c = 0; c < nc; ++c) {
-                    uint32_t x = s.hasMask ? xs[c] : gs.eConst(0);
-                    auto sg = valueSig(vs[c], x, k);
-                    if (!sg)
-                        return false;
-                    if (!sig)
-                        sig = sg;
-                    else if (*sig != *sg)
-                        return false;
-                }
-            }
-            return true;
-        };
-
-        for (uint32_t gi = 0; gi < (uint32_t)groups.size(); ++gi) {
-            const Group &g = groups[gi];
-            if (g.hasStore) {
-                // In-group pairs (including each site against itself
-                // across gang slots) must be proven at plan time: the
-                // region always overlaps itself.
-                bool eq = equalValueGroup(g);
-                for (size_t a = 0; a < g.members.size(); ++a) {
-                    for (size_t b = a; b < g.members.size(); ++b) {
-                        const SendSite &s = sites[g.members[a]];
-                        const SendSite &t = sites[g.members[b]];
-                        if (!s.isWrite && !t.isWrite)
-                            continue;
-                        if (eq || noCollision(s, t, minSimd)) {
-                            ++proven;
-                        } else {
-                            return;  // regionForm stays false
-                        }
-                    }
-                }
-            }
-            for (uint32_t gj = gi + 1; gj < (uint32_t)groups.size(); ++gj) {
-                const Group &h = groups[gj];
-                if (!g.hasStore && !h.hasStore)
-                    continue;
-                if (g.baseArg == h.baseArg) {
-                    // Same base pointer: the interval relation is
-                    // known at plan time.
-                    if (g.lo < h.hi && h.lo < g.hi)
-                        return;  // statically overlapping; never gang
-                    ++proven;
-                } else {
-                    out.checks.push_back({gi, gj});
-                    ++checked;
-                }
-            }
-        }
-
-        out.regions.reserve(groups.size());
-        for (const Group &g : groups)
-            out.regions.push_back({g.baseArg, g.lo, g.hi, g.hasStore});
-        out.minSimdWidth = minSimd;
-        out.provenPairs = proven;
-        out.checkedPairs = checked;
-        out.regionForm = true;
-    }
-};
-
-} // anonymous namespace
-
-GangSafety
-analyzeGangSafety(const KernelBinary &bin)
-{
-    return GangAnalyzer(bin).run();
 }
 
 } // namespace gt::isa

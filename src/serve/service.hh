@@ -22,7 +22,7 @@
  * Cross-tenant sharing is content-addressed and immutable:
  *
  *  - gpu::SharedPlanCache — kernel execution plans (decoded uop
- *    programs, block cycle tables, gang verdicts) keyed on
+ *    programs, block cycle tables) keyed on
  *    isa::contentHash, shared by every tenant driver;
  *  - the session cache here — shared_ptr<WorkloadSession> keyed on
  *    cfl::recordingContentHash. Admission is single-flight: the

@@ -1,9 +1,8 @@
 /**
  * @file
- * Shared fixture of the executor differential tests (test_interp.cc,
- * test_gang.cc): the production executor and the scalar reference
- * interpreter side by side, each over its own device memory, compared
- * bit for bit.
+ * Fixture of the executor differential tests (test_interp.cc): the
+ * production executor and the scalar reference interpreter side by
+ * side, each over its own device memory, compared bit for bit.
  */
 
 #ifndef GT_TESTS_EXEC_PAIR_HH

@@ -6,8 +6,7 @@
  * the same kernel binaries, dispatch orchestration (representative
  * thread, stratified sampling, per-thread weighting) and execution
  * plan the production executor uses, but with none of its machinery:
- * no predecoded uops, no superblock chaining, no gang lockstep, no
- * SoA trace buffer. Threads run one at a time in thread order and
+ * no predecoded uops, no superblock chaining, no SoA trace buffer. Threads run one at a time in thread order and
  * every global memory access is delivered to a callback the moment it
  * executes, which makes this interpreter the oracle for profiles,
  * trace deltas, block traces, memory contents and memory-access order

@@ -96,7 +96,8 @@ TEST(Varint, TruncationAndOverflowAreFatal)
         std::vector<uint8_t> one{42};
         ByteReader reader(one.data(), one.data() + one.size(),
                           "test");
-        EXPECT_THROW(reader.getBytes(nullptr, 2), FatalError);
+        uint8_t scratch[2];
+        EXPECT_THROW(reader.getBytes(scratch, 2), FatalError);
     }
     {
         std::vector<uint8_t> big;
